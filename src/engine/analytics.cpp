@@ -19,11 +19,11 @@ std::string make_tracking_url(std::string_view target_url, std::uint64_t token) 
 
 bool is_tracking_url(std::string_view url) { return url.starts_with(kPrefix); }
 
-std::optional<std::string> extract_target_url(std::string_view url) {
+std::optional<std::string_view> extract_target_url(std::string_view url) {
   if (!is_tracking_url(url)) return std::nullopt;
   const auto pos = url.find(kTargetParam);
   if (pos == std::string_view::npos) return std::nullopt;
-  return std::string(url.substr(pos + kTargetParam.size()));
+  return url.substr(pos + kTargetParam.size());
 }
 
 }  // namespace xsearch::engine

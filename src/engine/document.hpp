@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace xsearch::engine {
 
@@ -27,6 +28,22 @@ struct SearchResult {
   double score = 0.0;
 
   friend bool operator==(const SearchResult&, const SearchResult&) = default;
+};
+
+/// A SearchResult whose text fields are views into a buffer someone else
+/// owns (the serialized result list the engine sent). Valid only while that
+/// buffer is; `owned()` copies it out.
+struct SearchResultView {
+  DocId doc = 0;
+  std::string_view title;
+  std::string_view description;
+  std::string_view url;
+  double score = 0.0;
+
+  [[nodiscard]] SearchResult owned() const {
+    return {doc, std::string(title), std::string(description), std::string(url),
+            score};
+  }
 };
 
 }  // namespace xsearch::engine

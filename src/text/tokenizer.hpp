@@ -37,6 +37,16 @@ inline constexpr std::array<char, 256> kToLower = [] {
   return t;
 }();
 
+// Token byte -> its lower-cased form; separator -> 0. One lookup both
+// classifies a byte and folds its case, for scanners that do both at once.
+inline constexpr std::array<char, 256> kTokenFold = [] {
+  std::array<char, 256> t{};
+  for (unsigned c = 0; c < 256; ++c) {
+    if (kIsTokenChar[c]) t[c] = kToLower[c];
+  }
+  return t;
+}();
+
 }  // namespace detail
 
 /// True for the ASCII alphanumerics that form tokens (locale-independent).
@@ -47,6 +57,12 @@ inline constexpr std::array<char, 256> kToLower = [] {
 /// ASCII lower-casing; non-letters pass through unchanged.
 [[nodiscard]] constexpr char to_lower_ascii(unsigned char c) {
   return detail::kToLower[c];
+}
+
+/// Lower-cased token byte, or 0 if `c` separates tokens. Same boundaries
+/// as is_token_char, same folding as to_lower_ascii.
+[[nodiscard]] constexpr char token_fold(unsigned char c) {
+  return detail::kTokenFold[c];
 }
 
 /// Splits `text` into lower-cased alphanumeric tokens.

@@ -1,11 +1,10 @@
 #include "xsearch/filter.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
-#include <optional>
-#include <unordered_map>
 
-#include "common/hash.hpp"
 #include "engine/analytics.hpp"
 #include "text/sparse_vector.hpp"
 #include "text/tokenizer.hpp"
@@ -15,59 +14,167 @@ namespace xsearch::core {
 
 namespace {
 
-// Token → sub-query postings for one filter batch. Sub-query 0 is the
-// original; 1..k are the fakes. Each sub-query's lower-cased text is kept
-// alive for the batch so the map can key on views into it — result tokens
-// are only ever *looked up* (a token that appears in no sub-query cannot
-// contribute to any common-words score), so the reused per-result buffer
-// never needs to back a stored key.
-class QueryTokenPostings {
+// Calls on_token(first, length, folded_first_byte) for each maximal run of
+// token bytes in `text`. One table lookup per byte both classifies it and
+// folds its case, so the scan needs no lower-cased copy of the text.
+template <typename OnToken>
+void for_each_token(std::string_view text, OnToken&& on_token) {
+  const auto* p = reinterpret_cast<const unsigned char*>(text.data());
+  const auto* const end = p + text.size();
+  while (p != end) {
+    const char folded = text::token_fold(*p);
+    if (folded == 0) {
+      ++p;
+      continue;
+    }
+    const auto* const start = p;
+    do {
+      ++p;
+    } while (p != end && text::token_fold(*p) != 0);
+    on_token(start, static_cast<std::size_t>(p - start),
+             static_cast<unsigned char>(folded));
+  }
+}
+
+// FNV-1a over the case-folded bytes of a token.
+std::uint64_t hash_token(const unsigned char* p, std::size_t n) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= static_cast<unsigned char>(text::token_fold(p[i]));
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Algorithm 2's common-words score for one batch. Sub-query 0 is the
+// original; 1..k are the fakes. Their distinct tokens live in a flat
+// open-addressed table (each slot keeps the token's hash, so growth never
+// rehashes text), and each token id maps to the bitset of sub-queries that
+// contain it. Result tokens are only ever looked up: one absent from every
+// sub-query adds to no score.
+class CommonWordsScorer {
  public:
-  QueryTokenPostings(std::string_view original, const std::vector<std::string>& fakes) {
-    buffers_.reserve(fakes.size() + 1);
-    add_query(original);
-    for (const auto& fake : fakes) add_query(fake);
-    query_count_ = fakes.size() + 1;
-  }
-
-  [[nodiscard]] std::size_t query_count() const { return query_count_; }
-
-  /// The distinct sub-queries containing token id `token`.
-  [[nodiscard]] const std::vector<std::uint32_t>& queries_of(std::uint32_t token) const {
-    return postings_[token];
-  }
-
-  /// Id of a result token, if any sub-query contains it.
-  [[nodiscard]] std::optional<std::uint32_t> lookup(std::string_view token) const {
-    const auto it = ids_.find(token);
-    if (it == ids_.end()) return std::nullopt;
-    return it->second;
-  }
-
- private:
-  void add_query(std::string_view query) {
-    const auto q = static_cast<std::uint32_t>(buffers_.size());
-    buffers_.emplace_back();
-    tokens_.clear();
-    text::tokenize_views_into(query, buffers_.back(), tokens_);
-    for (const std::string_view token : tokens_) {
-      const auto [it, inserted] =
-          ids_.try_emplace(token, static_cast<std::uint32_t>(postings_.size()));
-      if (inserted) postings_.emplace_back();
-      auto& queries = postings_[it->second];
-      // One query is processed at a time, so a duplicate token inside this
-      // query shows up as a trailing `q` (scores count distinct words).
-      if (queries.empty() || queries.back() != q) queries.push_back(q);
+  CommonWordsScorer(std::string_view original, const std::vector<std::string>& fakes)
+      : words_per_token_((fakes.size() + 1 + 63) / 64), scores_(fakes.size() + 1) {
+    for (std::size_t q = 0; q < scores_.size(); ++q) {
+      const std::string_view query = q == 0 ? original : fakes[q - 1];
+      for_each_token(query, [&](const unsigned char* p, std::size_t n,
+                                unsigned char first) {
+        const std::uint32_t id = insert(p, n, first);
+        query_bits_[id * words_per_token_ + q / 64] |= std::uint64_t{1} << (q % 64);
+      });
     }
   }
 
-  std::vector<std::string> buffers_;  // lower-cased sub-queries; keys view these
-  std::vector<std::string_view> tokens_;
-  std::unordered_map<std::string_view, std::uint32_t, StringHash, std::equal_to<>>
-      ids_;
-  std::vector<std::vector<std::uint32_t>> postings_;  // token id → sub-queries
-  std::size_t query_count_ = 0;
+  /// Algorithm 2's verdict: score[q] = distinct title words shared with q +
+  /// distinct description words shared with q; keep iff no sub-query beats
+  /// the original.
+  [[nodiscard]] bool keeps(std::string_view title, std::string_view description) {
+    std::fill(scores_.begin(), scores_.end(), 0);
+    accumulate(title);
+    accumulate(description);
+    const std::uint32_t original_score = scores_[0];
+    return std::all_of(scores_.begin() + 1, scores_.end(),
+                       [&](std::uint32_t s) { return s <= original_score; });
+  }
+
+ private:
+  static constexpr std::uint32_t kEmpty = UINT32_MAX;
+
+  struct Slot {
+    std::uint64_t hash = 0;
+    std::uint32_t id = kEmpty;
+  };
+
+  // Gate bit for a token length: 1..63 have their own bit, longer share 63.
+  static std::uint64_t length_bit(std::size_t n) {
+    return std::uint64_t{1} << (std::min<std::size_t>(n, 64) - 1);
+  }
+
+  [[nodiscard]] std::size_t home(std::uint64_t hash) const {
+    return static_cast<std::size_t>(hash ^ (hash >> 32)) & (slots_.size() - 1);
+  }
+
+  /// Id of the token at [p, p+n), or kEmpty if no sub-query has it.
+  [[nodiscard]] std::uint32_t find(const unsigned char* p, std::size_t n,
+                                   unsigned char first) const {
+    if ((gate_[first] & length_bit(n)) == 0) return kEmpty;
+    const std::uint64_t hash = hash_token(p, n);
+    for (std::size_t i = home(hash);; i = (i + 1) & (slots_.size() - 1)) {
+      const Slot& slot = slots_[i];
+      if (slot.id == kEmpty) return kEmpty;
+      if (slot.hash == hash && equals(tokens_[slot.id], p, n)) return slot.id;
+    }
+  }
+
+  static bool equals(std::string_view folded, const unsigned char* p, std::size_t n) {
+    if (folded.size() != n) return false;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (folded[i] != text::token_fold(p[i])) return false;
+    }
+    return true;
+  }
+
+  std::uint32_t insert(const unsigned char* p, std::size_t n, unsigned char first) {
+    if (const std::uint32_t id = find(p, n, first); id != kEmpty) return id;
+    if ((tokens_.size() + 1) * 2 > slots_.size()) grow();
+    const auto id = static_cast<std::uint32_t>(tokens_.size());
+    std::string& token = tokens_.emplace_back(n, '\0');
+    for (std::size_t i = 0; i < n; ++i) token[i] = text::token_fold(p[i]);
+    place({hash_token(p, n), id});
+    gate_[first] |= length_bit(n);
+    query_bits_.resize(query_bits_.size() + words_per_token_);
+    stamps_.push_back(0);
+    return id;
+  }
+
+  void place(const Slot& entry) {
+    std::size_t i = home(entry.hash);
+    while (slots_[i].id != kEmpty) i = (i + 1) & (slots_.size() - 1);
+    slots_[i] = entry;
+  }
+
+  void grow() {
+    std::vector<Slot> old(slots_.size() * 2);
+    slots_.swap(old);
+    for (const Slot& slot : old) {
+      if (slot.id != kEmpty) place(slot);
+    }
+  }
+
+  void accumulate(std::string_view field) {
+    ++epoch_;
+    for_each_token(field, [&](const unsigned char* p, std::size_t n,
+                              unsigned char first) {
+      const std::uint32_t id = find(p, n, first);
+      // The epoch stamp counts a token once per field.
+      if (id == kEmpty || stamps_[id] == epoch_) return;
+      stamps_[id] = epoch_;
+      for (std::size_t w = 0; w < words_per_token_; ++w) {
+        for (std::uint64_t bits = query_bits_[id * words_per_token_ + w]; bits != 0;
+             bits &= bits - 1) {
+          ++scores_[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))];
+        }
+      }
+    });
+  }
+
+  std::size_t words_per_token_;            // bitset words per token id
+  std::array<std::uint64_t, 256> gate_{};  // folded first byte → length bits
+  std::vector<Slot> slots_ = std::vector<Slot>(32);  // power of two; half-load growth
+  std::vector<std::string> tokens_;                  // case-folded, by id
+  std::vector<std::uint64_t> query_bits_;  // id → sub-queries containing it
+  std::vector<std::uint32_t> stamps_;      // id → epoch it was last counted in
+  std::uint32_t epoch_ = 0;
+  std::vector<std::uint32_t> scores_;  // per sub-query, for the current result
 };
+
+// Innermost target of nested tracking redirects, as a view into `url`. A
+// redirect that names no target comes back as it is, still a tracking URL.
+std::string_view unwrap_tracking(std::string_view url) {
+  while (const auto target = engine::extract_target_url(url)) url = *target;
+  return url;
+}
 
 }  // namespace
 
@@ -82,49 +189,37 @@ std::vector<engine::SearchResult> ResultFilter::filter(
   return kept;
 }
 
+std::vector<engine::SearchResult> ResultFilter::filter_views(
+    std::string_view original, const std::vector<std::string>& fakes,
+    std::span<const engine::SearchResultView> results) const {
+  if (scoring_ == FilterScoring::kCosine) {
+    // The ablation scorer works on owned results.
+    std::vector<engine::SearchResult> owned;
+    owned.reserve(results.size());
+    for (const auto& r : results) owned.push_back(r.owned());
+    return filter(original, fakes, std::move(owned));
+  }
+  CommonWordsScorer scorer(original, fakes);
+  std::vector<engine::SearchResult> kept;
+  kept.reserve(results.size());
+  for (const auto& r : results) {
+    if (!scorer.keeps(r.title, r.description)) continue;
+    const std::string_view url = unwrap_tracking(r.url);
+    if (engine::is_tracking_url(url)) continue;  // redirect with no target
+    kept.push_back({r.doc, std::string(r.title), std::string(r.description),
+                    std::string(url), r.score});
+  }
+  return kept;
+}
+
 std::vector<engine::SearchResult> ResultFilter::filter_common_words(
     std::string_view original, const std::vector<std::string>& fakes,
     std::vector<engine::SearchResult> results) const {
-  const QueryTokenPostings postings(original, fakes);
-
+  CommonWordsScorer scorer(original, fakes);
   std::vector<engine::SearchResult> kept;
   kept.reserve(results.size());
-
-  // Per-result scratch, reused across the batch (allocations amortize out).
-  std::string buffer;
-  std::vector<std::string_view> tokens;
-  std::vector<std::uint32_t> matched;
-  std::vector<std::size_t> scores(postings.query_count());
-
-  // score[q] = distinct title tokens shared with q + distinct description
-  // tokens shared with q — nbCommonWords(q, title) + nbCommonWords(q, desc).
-  const auto accumulate_field = [&](std::string_view field) {
-    tokens.clear();
-    matched.clear();
-    text::tokenize_views_into(field, buffer, tokens);
-    for (const std::string_view token : tokens) {
-      if (const auto id = postings.lookup(token)) matched.push_back(*id);
-    }
-    std::sort(matched.begin(), matched.end());
-    matched.erase(std::unique(matched.begin(), matched.end()), matched.end());
-    for (const std::uint32_t id : matched) {
-      for (const std::uint32_t q : postings.queries_of(id)) ++scores[q];
-    }
-  };
-
   for (auto& r : results) {
-    std::fill(scores.begin(), scores.end(), 0);
-    accumulate_field(r.title);
-    accumulate_field(r.description);
-    const std::size_t original_score = scores[0];
-    bool is_max = true;
-    for (std::size_t q = 1; q < scores.size(); ++q) {
-      if (scores[q] > original_score) {
-        is_max = false;
-        break;
-      }
-    }
-    if (is_max) kept.push_back(std::move(r));
+    if (scorer.keeps(r.title, r.description)) kept.push_back(std::move(r));
   }
   return kept;
 }
@@ -164,10 +259,14 @@ std::vector<engine::SearchResult> ResultFilter::filter_cosine(
 
 void ResultFilter::strip_tracking(std::vector<engine::SearchResult>& results) {
   for (auto& r : results) {
-    if (auto target = engine::extract_target_url(r.url)) {
-      r.url = *std::move(target);
-    }
+    const std::string_view url = unwrap_tracking(r.url);
+    r.url.erase(0, static_cast<std::size_t>(url.data() - r.url.data()));
   }
+  // What is still a redirect named no target; the engine is untrusted, so
+  // such a link must not reach the client.
+  std::erase_if(results, [](const engine::SearchResult& r) {
+    return engine::is_tracking_url(r.url);
+  });
 }
 
 }  // namespace xsearch::core

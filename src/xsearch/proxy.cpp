@@ -533,18 +533,18 @@ Result<std::vector<engine::SearchResult>> XSearchProxy::run_trusted_query(
   session.note_obfuscation();
   queries_since_checkpoint_.fetch_add(1, std::memory_order_relaxed);
 
-  std::vector<engine::SearchResult> filtered;
-  if (options_.contact_engine) {
-    auto results = query_engine(obfuscated, session.secure_rng());
-    if (!results) return results.status();
-    // Algorithm 2 inside the enclave, plus analytics scrubbing.
-    filtered = filter_.filter(obfuscated.original, obfuscated.fakes,
-                              std::move(results).value());
-  }
-  return filtered;
+  if (!options_.contact_engine) return std::vector<engine::SearchResult>{};
+  auto response = query_engine(obfuscated, session.secure_rng());
+  if (!response) return response.status();
+  // Parsed in place: the results are views into the engine's reply, and
+  // only those Algorithm 2 keeps are copied out, analytics scrubbed.
+  auto results = wire::parse_result_views(response.value());
+  if (!results) return results.status();
+  return filter_.filter_views(obfuscated.original, obfuscated.fakes,
+                              results.value());
 }
 
-Result<std::vector<engine::SearchResult>> XSearchProxy::query_engine(
+Result<Bytes> XSearchProxy::query_engine(
     const ObfuscatedQuery& obfuscated, crypto::SecureRandom& session_rng) {
   // sock_connect
   auto sock_raw =
@@ -591,10 +591,9 @@ Result<std::vector<engine::SearchResult>> XSearchProxy::query_engine(
   if (options_.engine_tls_public_key.has_value()) {
     auto plain = crypto::envelope_reply_open(
         response_key, to_bytes("xsearch-engine-link-v1"), response.value());
-    if (!plain) return plain.status();
-    return wire::parse_results(plain.value());
+    return plain;
   }
-  return wire::parse_results(response.value());
+  return response;
 }
 
 Result<XSearchProxy::HandshakeResponse> XSearchProxy::handshake(

@@ -361,11 +361,12 @@ class XSearchProxy : public ProxyHandler {
   [[nodiscard]] Result<std::vector<engine::SearchResult>> run_trusted_query(
       const std::string& query, SessionTable::LockedSession& session);
 
-  /// Performs the engine round trip through the four socket ocalls.
+  /// Performs the engine round trip through the four socket ocalls and
+  /// returns the serialized result list (opened, on the encrypted link).
   /// `session_rng` is the calling session's private DRBG (used for the
   /// encrypted engine link's envelope seal); the caller holds the session
   /// lock for the duration.
-  [[nodiscard]] Result<std::vector<engine::SearchResult>> query_engine(
+  [[nodiscard]] Result<Bytes> query_engine(
       const ObfuscatedQuery& obfuscated, crypto::SecureRandom& session_rng);
 
   [[nodiscard]] Status install_boundary();

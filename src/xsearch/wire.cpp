@@ -1,5 +1,6 @@
 #include "xsearch/wire.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace xsearch::core::wire {
@@ -51,13 +52,25 @@ void put_string(Bytes& out, std::string_view s) {
   append(out, to_bytes(s));
 }
 
-Result<std::string> get_string(ByteSpan in, std::size_t& offset) {
+namespace {
+
+/// get_string as a view into `in` (no copy).
+Result<std::string_view> get_string_view(ByteSpan in, std::size_t& offset) {
   auto len = get_u32(in, offset);
   if (!len) return len.status();
   if (offset + len.value() > in.size()) return data_loss("wire: truncated string");
-  std::string s(reinterpret_cast<const char*>(in.data() + offset), len.value());
+  const std::string_view s(reinterpret_cast<const char*>(in.data() + offset),
+                           len.value());
   offset += len.value();
   return s;
+}
+
+}  // namespace
+
+Result<std::string> get_string(ByteSpan in, std::size_t& offset) {
+  auto s = get_string_view(in, offset);
+  if (!s) return s.status();
+  return std::string(s.value());
 }
 
 namespace {
@@ -86,35 +99,54 @@ void serialize_results_into(Bytes& out,
   }
 }
 
-/// Parses one result list *prefix* of `raw` starting at `offset`. The batch
-/// framing concatenates several lists, so unlike parse_results this must
-/// not require the list to exhaust the input.
-Result<std::vector<engine::SearchResult>> parse_results_at(ByteSpan raw,
-                                                           std::size_t& offset) {
+// Smallest wire size of one result: doc, three empty strings, score.
+constexpr std::size_t kMinResultWireSize = 4 + 3 * 4 + 8;
+
+/// Parses one result list *prefix* of `raw` starting at `offset`, as views
+/// into `raw`. The batch framing concatenates several lists, so unlike
+/// parse_results this must not require the list to exhaust the input.
+Result<std::vector<engine::SearchResultView>> parse_result_views_at(
+    ByteSpan raw, std::size_t& offset) {
   auto count = get_u32(raw, offset);
   if (!count) return count.status();
-  std::vector<engine::SearchResult> results;
-  results.reserve(std::min<std::uint32_t>(count.value(), 1 << 16));
+  std::vector<engine::SearchResultView> results;
+  // The count is untrusted: reserve no more than the bytes left can hold.
+  results.reserve(std::min<std::size_t>(
+      count.value(), (raw.size() - offset) / kMinResultWireSize));
   for (std::uint32_t i = 0; i < count.value(); ++i) {
-    engine::SearchResult r;
+    engine::SearchResultView r;
     auto doc = get_u32(raw, offset);
     if (!doc) return doc.status();
     r.doc = doc.value();
-    auto title = get_string(raw, offset);
+    auto title = get_string_view(raw, offset);
     if (!title) return title.status();
-    r.title = std::move(title).value();
-    auto desc = get_string(raw, offset);
+    r.title = title.value();
+    auto desc = get_string_view(raw, offset);
     if (!desc) return desc.status();
-    r.description = std::move(desc).value();
-    auto url = get_string(raw, offset);
+    r.description = desc.value();
+    auto url = get_string_view(raw, offset);
     if (!url) return url.status();
-    r.url = std::move(url).value();
+    r.url = url.value();
     auto score = get_double(raw, offset);
     if (!score) return score.status();
     r.score = score.value();
-    results.push_back(std::move(r));
+    results.push_back(r);
   }
   return results;
+}
+
+Result<std::vector<engine::SearchResult>> owned_results(
+    const Result<std::vector<engine::SearchResultView>>& views) {
+  if (!views) return views.status();
+  std::vector<engine::SearchResult> results;
+  results.reserve(views.value().size());
+  for (const auto& view : views.value()) results.push_back(view.owned());
+  return results;
+}
+
+Result<std::vector<engine::SearchResult>> parse_results_at(ByteSpan raw,
+                                                           std::size_t& offset) {
+  return owned_results(parse_result_views_at(raw, offset));
 }
 
 /// A batch count of zero is as malformed as an oversized one: an empty
@@ -133,12 +165,16 @@ Bytes serialize_results(const std::vector<engine::SearchResult>& results) {
   return out;
 }
 
-Result<std::vector<engine::SearchResult>> parse_results(ByteSpan raw) {
+Result<std::vector<engine::SearchResultView>> parse_result_views(ByteSpan raw) {
   std::size_t offset = 0;
-  auto results = parse_results_at(raw, offset);
+  auto results = parse_result_views_at(raw, offset);
   if (!results) return results.status();
   if (offset != raw.size()) return data_loss("wire: trailing bytes after results");
   return results;
+}
+
+Result<std::vector<engine::SearchResult>> parse_results(ByteSpan raw) {
+  return owned_results(parse_result_views(raw));
 }
 
 Bytes serialize_engine_request(const EngineRequest& request) {

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -40,6 +41,12 @@ void put_double(Bytes& out, double v);
 
 [[nodiscard]] Bytes serialize_results(const std::vector<engine::SearchResult>& results);
 [[nodiscard]] Result<std::vector<engine::SearchResult>> parse_results(ByteSpan raw);
+
+/// parse_results without the copies: the results' text fields are views
+/// into `raw`, which must outlive them. Same bounds checks and errors —
+/// parse_results is this parser plus `owned()` per result.
+[[nodiscard]] Result<std::vector<engine::SearchResultView>> parse_result_views(
+    ByteSpan raw);
 
 // --- engine request (crosses the ocall "socket") --------------------------
 

@@ -89,6 +89,61 @@ TEST(ResultFilter, StripTrackingLeavesCleanUrls) {
   EXPECT_EQ(results[0].url, "https://already-clean.example/");
 }
 
+TEST(ResultFilter, StripsNestedTrackingUrls) {
+  // The engine is untrusted: a redirect wrapped in another redirect must be
+  // unwrapped all the way, not forwarded one level down.
+  ResultFilter filter;
+  std::vector<engine::SearchResult> results = {make_result(
+      "match query words", "query words",
+      engine::make_tracking_url(
+          engine::make_tracking_url("https://real.example/page", 2), 1))};
+  const auto kept = filter.filter("query words", {}, results);
+  ASSERT_EQ(kept.size(), 1u);
+  EXPECT_EQ(kept[0].url, "https://real.example/page");
+}
+
+TEST(ResultFilter, DropsTrackingUrlWithoutTarget) {
+  // A redirect naming no target cannot be scrubbed, so the result is
+  // dropped rather than forwarded with the engine's tracking link.
+  ResultFilter filter;
+  std::vector<engine::SearchResult> results = {
+      make_result("match query words", "query words",
+                  "https://search.example/l/?track=99"),
+      make_result("match query words", "query words",
+                  engine::make_tracking_url("https://search.example/l/?track=98", 3)),
+      make_result("match query words", "query words", "https://clean.example/"),
+  };
+  const auto kept = filter.filter("query words", {}, results);
+  ASSERT_EQ(kept.size(), 1u);
+  EXPECT_EQ(kept[0].url, "https://clean.example/");
+  for (const auto& r : kept) EXPECT_FALSE(engine::is_tracking_url(r.url));
+}
+
+TEST(ResultFilter, FilterViewsMatchesOwningFilter) {
+  // The in-place path (views into the engine's serialized reply) keeps the
+  // same results, copied out with tracking stripped.
+  std::vector<engine::SearchResult> results = {
+      make_result("pasta recipes tonight", "pasta sauce tomato",
+                  engine::make_tracking_url("https://pasta.example/", 4)),
+      make_result("web privacy tools", "private web search tools",
+                  engine::make_tracking_url(
+                      engine::make_tracking_url("https://web.example/", 5), 6)),
+      make_result("private search", "web", "https://search.example/l/?track=7"),
+  };
+  for (const FilterScoring scoring :
+       {FilterScoring::kCommonWords, FilterScoring::kCosine}) {
+    const ResultFilter filter(scoring);
+    const Bytes raw = wire::serialize_results(results);
+    const auto views = wire::parse_result_views(raw);
+    ASSERT_TRUE(views.is_ok());
+    const auto kept =
+        filter.filter_views("private web search", {"pasta recipes"}, views.value());
+    EXPECT_EQ(kept, filter.filter("private web search", {"pasta recipes"}, results));
+    ASSERT_EQ(kept.size(), 1u);
+    EXPECT_EQ(kept[0].url, "https://web.example/");
+  }
+}
+
 TEST(ResultFilter, CosineVariantWorks) {
   ResultFilter filter(FilterScoring::kCosine);
   std::vector<engine::SearchResult> results = {
@@ -112,6 +167,20 @@ TEST(Wire, ResultsRoundTrip) {
   const auto parsed = wire::parse_results(wire::serialize_results(results));
   ASSERT_TRUE(parsed.is_ok());
   EXPECT_EQ(parsed.value(), results);
+}
+
+TEST(Wire, ResultViewsPointIntoTheBuffer) {
+  const std::vector<engine::SearchResult> results = {
+      make_result("title one", "desc one", "https://one.example/")};
+  const Bytes raw = wire::serialize_results(results);
+  const auto views = wire::parse_result_views(raw);
+  ASSERT_TRUE(views.is_ok());
+  ASSERT_EQ(views.value().size(), 1u);
+  const auto& view = views.value()[0];
+  const auto* begin = reinterpret_cast<const char*>(raw.data());
+  EXPECT_GE(view.title.data(), begin);
+  EXPECT_LE(view.url.data() + view.url.size(), begin + raw.size());
+  EXPECT_EQ(view.owned(), results[0]);
 }
 
 TEST(Wire, EmptyResultsRoundTrip) {
