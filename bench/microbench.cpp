@@ -18,6 +18,9 @@
 //                parsing that reply in place (views, no copies) vs
 //                wire/parse_results, the owning parse
 //   search_or    the engine's k+1-sub-query OR evaluation + merge
+//   engine/search_or_encoded
+//                the engine round trip at live-search shape (4 sub-queries
+//                x 20 results), ending in the encoded reply hosts send
 //   seal_open    one channel AEAD round trip at a typical record size
 //
 // Output: a human-readable table on stdout and machine-readable JSON
@@ -422,6 +425,30 @@ int main(int argc, char** argv) {
       (void)bed->engine->search_or(obf.sub_queries, kResultsPerSubquery);
     }
     report("search_or", us_per_op(t0, Clock::now(), iters));
+
+    // engine/search_or_encoded: the engine round trip a host pays on
+    // live-search — 4 sub-queries (k=3) x 20 results, answered as the
+    // encoded reply it sends. Own stream and pre-drawn queries, so only the
+    // engine is timed and the stages after it see the inputs they always did.
+    Rng live_rng(17);
+    const core::Obfuscator live_obfuscator(history, 3);
+    std::vector<std::vector<std::string>> live_queries;
+    for (std::size_t i = 0; i < 200; ++i) {
+      live_queries.push_back(
+          live_obfuscator.obfuscate(test[i % test.size()].text, live_rng).sub_queries);
+    }
+    const std::size_t live_iters = 2000;
+    std::size_t reply_bytes = 0;
+    const auto t1 = Clock::now();
+    for (std::size_t i = 0; i < live_iters; ++i) {
+      reply_bytes +=
+          bed->engine->search_or_encoded(live_queries[i % live_queries.size()], 20).size();
+    }
+    report("engine/search_or_encoded", us_per_op(t1, Clock::now(), live_iters));
+    std::printf("# engine: %.1f KB per reply, %.1f KB of pre-rendered records for %zu docs\n",
+                static_cast<double>(reply_bytes) / live_iters / 1024.0,
+                static_cast<double>(bed->engine->record_bytes()) / 1024.0,
+                bed->engine->document_count());
   }
 
   // ---- seal_open ----------------------------------------------------------

@@ -74,12 +74,10 @@ Result<Bytes> PeasIssuer::handle(ByteSpan envelope) {
   auto request = core::wire::parse_engine_request(*plain);
   if (!request) return request.status();
 
-  std::vector<engine::SearchResult> results;
-  if (engine_ != nullptr) {
-    results = engine_->search_or(request.value().sub_queries,
-                                 request.value().top_k_each);
-  }
-  const Bytes payload = core::wire::serialize_results(results);
+  const Bytes payload = engine_ != nullptr
+                            ? engine_->search_or_encoded(request.value().sub_queries,
+                                                         request.value().top_k_each)
+                            : core::wire::serialize_results({});
   return crypto::aead_seal(key, crypto::make_nonce(kNonceResponse, 0),
                            to_bytes(kEnvelopeInfo), payload);
 }

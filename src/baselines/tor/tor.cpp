@@ -135,13 +135,11 @@ Result<std::vector<engine::SearchResult>> TorClient::search(std::string_view que
   auto plain_query = core::wire::get_string(cell, offset);
   if (!plain_query) return plain_query.status();
 
-  std::vector<engine::SearchResult> results;
-  if (engine_ != nullptr) {
-    results = engine_->search(plain_query.value(), k.value());
-  }
+  Bytes response = engine_ != nullptr
+                       ? engine_->search_encoded(plain_query.value(), k.value())
+                       : core::wire::serialize_results({});
 
   // Backward path: each relay (exit first) adds its response layer.
-  Bytes response = core::wire::serialize_results(results);
   for (std::size_t i = relays_.size(); i-- > 0;) {
     auto wrapped = relays_[i]->wrap(circuit_.id(), response);
     if (!wrapped) return wrapped.status();

@@ -16,8 +16,12 @@ QueryHistory::~QueryHistory() {
 }
 
 void QueryHistory::add(std::string_view query) {
-  WriterLock lock(mutex_);
+  // Allocated before the writer lock is taken, and destroyed after it is
+  // released: `incoming` is declared first, so it outlives `lock`. Move-
+  // assigning it into a full ring's slot may hand it the evicted entry's
+  // buffer, which is then freed outside the lock too.
   std::string incoming(query);
+  WriterLock lock(mutex_);
 
   if (count_ < capacity_) {
     // Growing phase: the slot and its contents are newly enclave-resident.

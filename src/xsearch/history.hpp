@@ -11,8 +11,9 @@
 //
 // Locking is reader/writer: `sample` (the per-query hot path, k string
 // copies) takes a shared lock so concurrent sessions sample in parallel;
-// only `add` (one string move plus O(1) accounting) takes the exclusive
-// lock. The previous single mutex serialized every session's sampling.
+// only `add` takes the exclusive lock, and holds it for one string move
+// plus O(1) accounting: the new entry's copy is made before the lock and
+// the evicted entry's buffer is freed after it.
 #pragma once
 
 #include <cstddef>

@@ -229,8 +229,8 @@ Status XSearchProxy::install_boundary() {
         if (engine_breaker_ != nullptr) engine_breaker_->record_failure();
         return unavailable("no engine connected");
       }
-      response = wire::serialize_results(engine_->search_or(
-          request.value().sub_queries, request.value().top_k_each));
+      response = engine_->search_or_encoded(request.value().sub_queries,
+                                            request.value().top_k_each);
     }
     if (engine_breaker_ != nullptr) engine_breaker_->record_success();
     SocketShard& shard = socket_shard(sock.value());

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "engine/result_record.hpp"
+
 namespace xsearch::core::wire {
 
 void put_u32(Bytes& out, std::uint32_t v) {
@@ -75,30 +77,6 @@ Result<std::string> get_string(ByteSpan in, std::size_t& offset) {
 
 namespace {
 
-// Exact wire size of a serialized result list, so the seal/frame path can
-// reserve once instead of growing geometrically.
-std::size_t results_wire_size(const std::vector<engine::SearchResult>& results) {
-  std::size_t size = 4;  // count
-  for (const auto& r : results) {
-    size += 4 + 8;  // doc + score
-    size += 4 + r.title.size() + 4 + r.description.size() + 4 + r.url.size();
-  }
-  return size;
-}
-
-void serialize_results_into(Bytes& out,
-                            const std::vector<engine::SearchResult>& results) {
-  out.reserve(out.size() + results_wire_size(results));
-  put_u32(out, static_cast<std::uint32_t>(results.size()));
-  for (const auto& r : results) {
-    put_u32(out, r.doc);
-    put_string(out, r.title);
-    put_string(out, r.description);
-    put_string(out, r.url);
-    put_double(out, r.score);
-  }
-}
-
 // Smallest wire size of one result: doc, three empty strings, score.
 constexpr std::size_t kMinResultWireSize = 4 + 3 * 4 + 8;
 
@@ -161,7 +139,7 @@ Status check_batch_count(std::uint32_t count) {
 
 Bytes serialize_results(const std::vector<engine::SearchResult>& results) {
   Bytes out;
-  serialize_results_into(out, results);
+  engine::append_results(out, results);
   return out;
 }
 
@@ -214,9 +192,9 @@ Bytes frame_query(std::string_view query) {
 
 Bytes frame_results(const std::vector<engine::SearchResult>& results) {
   Bytes out;
-  out.reserve(1 + results_wire_size(results));
+  out.reserve(1 + engine::results_wire_size(results));
   out.push_back(static_cast<std::uint8_t>(ClientMessageType::kResults));
-  serialize_results_into(out, results);
+  engine::append_results(out, results);
   return out;
 }
 
@@ -242,7 +220,7 @@ Bytes frame_results_batch(const std::vector<BatchItem>& items) {
   std::size_t size = 1 + 4;
   for (const auto& item : items) {
     size += 1;
-    size += item.ok ? results_wire_size(item.results) : 4 + item.error.size();
+    size += item.ok ? engine::results_wire_size(item.results) : 4 + item.error.size();
   }
   Bytes out;
   out.reserve(size);
@@ -251,7 +229,7 @@ Bytes frame_results_batch(const std::vector<BatchItem>& items) {
   for (const auto& item : items) {
     out.push_back(item.ok ? 1 : 0);
     if (item.ok) {
-      serialize_results_into(out, item.results);
+      engine::append_results(out, item.results);
     } else {
       put_string(out, item.error);
     }
