@@ -831,19 +831,13 @@ class ThreadPerConnectionServer {
   }
 
   void serve(net::TcpStream& stream) {
-    bool peer_v2 = false;
     const auto send_error = [&](const Status& status) {
-      if (peer_v2) {
-        return net::write_frame(stream, net::FrameType::kErrorStatus,
-                                net::encode_error_status(status));
-      }
-      return net::write_frame(stream, net::FrameType::kError,
-                              to_bytes(status.to_string()));
+      return net::write_frame(stream, net::FrameType::kErrorStatus,
+                              net::encode_error_status(status));
     };
     while (!stopping_.load(std::memory_order_relaxed)) {
       auto frame = net::read_frame(stream);
       if (!frame) return;  // clean close or broken peer
-      if (frame.value().v2) peer_v2 = true;
       switch (frame.value().type) {
         case net::FrameType::kHello: {
           if (frame.value().payload.size() != crypto::kX25519KeySize) {

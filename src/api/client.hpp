@@ -43,8 +43,8 @@ struct RecoveryConfig {
   /// Consecutive heartbeat failures before a worker is auto-respawned.
   std::uint32_t failure_threshold = 3;
   /// Deadline for one heartbeat probe; a probe overrunning it means the
-  /// worker is HUNG (not crashed) and counts as a failure. 0 = probe
-  /// without a deadline (a hung worker then wedges the probe loop).
+  /// worker is HUNG (not crashed) and counts as a failure. Must be
+  /// positive.
   Nanos probe_budget = kSecond;
 };
 

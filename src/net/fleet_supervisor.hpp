@@ -48,8 +48,7 @@ class FleetSupervisor {
     std::uint32_t failure_threshold = 3;
     /// Deadline for one heartbeat probe: a probe still running past it
     /// counts as a failure (the worker is hung, not merely crashed) and
-    /// the sweep moves on. 0 = probe inline without a deadline (legacy;
-    /// a hung worker then wedges the probe loop).
+    /// the sweep moves on. Must be positive.
     Nanos probe_budget = kSecond;
   };
 

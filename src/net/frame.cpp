@@ -9,70 +9,57 @@ FrameCursor::Step FrameCursor::parse(ByteSpan buffered) {
     step.need = 4;
     return step;
   }
-  const std::uint32_t raw = load_be32(buffered.data());
-  const bool v2 = (raw & kFrameV2Bit) != 0;
-  const std::uint32_t length = raw & ~kFrameV2Bit;
+  const std::uint32_t length = load_be32(buffered.data());
   if (length == 0 || length > kMaxFramePayload + 1) {
     step.state = State::kError;
     step.error = data_loss("frame length out of range");
     return step;
   }
-  const std::size_t header_bytes = v2 ? 8 : 4;
-  const std::size_t total = header_bytes + length;
-  if (buffered.size() < header_bytes) {
-    step.state = State::kNeedHeader;
-    step.need = header_bytes;
-    return step;
-  }
+  // `length` counts the type byte, which closes the header. Once it is
+  // known, ask for the whole frame: a blocking reader then needs one more
+  // read, not one for the budget word and another for the body.
+  const std::size_t total = kFrameHeaderBytes - 1 + length;
   if (buffered.size() < total) {
-    step.state = State::kNeedBody;
+    step.state = buffered.size() < kFrameHeaderBytes ? State::kNeedHeader
+                                                     : State::kNeedBody;
     step.need = total;
     return step;
   }
 
   step.state = State::kFrame;
-  step.frame.v2 = v2;
-  if (v2) step.frame.budget_millis = load_be32(buffered.data() + 4);
-  step.frame.type = static_cast<FrameType>(buffered[header_bytes]);
-  step.frame.payload = buffered.subspan(header_bytes + 1, length - 1);
+  step.frame.budget_millis = load_be32(buffered.data() + 4);
+  step.frame.type = static_cast<FrameType>(buffered[8]);
+  step.frame.payload = buffered.subspan(kFrameHeaderBytes, length - 1);
   step.frame.frame_bytes = total;
   return step;
 }
 
 Result<Bytes> encode_frame_header(FrameType type, std::size_t payload_size,
-                                  const FrameWriteOptions& options) {
+                                  std::uint32_t budget_millis) {
   if (payload_size > kMaxFramePayload) {
     return invalid_argument("frame payload too large");
   }
-  const auto length = static_cast<std::uint32_t>(payload_size + 1);
-  Bytes header;
-  if (options.carry_budget) {
-    header.resize(9);
-    store_be32(header.data(), kFrameV2Bit | length);
-    store_be32(header.data() + 4, options.budget_millis);
-    header[8] = static_cast<std::uint8_t>(type);
-  } else {
-    header.resize(5);
-    store_be32(header.data(), length);
-    header[4] = static_cast<std::uint8_t>(type);
-  }
+  Bytes header(kFrameHeaderBytes);
+  store_be32(header.data(), static_cast<std::uint32_t>(payload_size + 1));
+  store_be32(header.data() + 4, budget_millis);
+  header[8] = static_cast<std::uint8_t>(type);
   return header;
 }
 
 Status write_frame(ByteStream& stream, FrameType type, ByteSpan payload,
-                   const FrameWriteOptions& options) {
-  auto header = encode_frame_header(type, payload.size(), options);
+                   const Deadline& deadline) {
+  // The REMAINING budget (not the original) goes on the wire, so every hop
+  // downstream sees how much time the request really has left.
+  auto header = encode_frame_header(type, payload.size(), deadline.budget_millis());
   if (!header) return header.status();
-  XS_RETURN_IF_ERROR(stream.write_all(header.value(), options.io_deadline));
-  return stream.write_all(payload, options.io_deadline);
+  XS_RETURN_IF_ERROR(stream.write_all(header.value(), deadline));
+  return stream.write_all(payload, deadline);
 }
 
-Result<Frame> read_frame(ByteStream& stream, const FrameReadOptions& options) {
+Result<Frame> read_frame(ByteStream& stream, const Deadline& deadline) {
   // Blocking shim over the incremental parser: one parse logic for both the
   // reactor's zero-copy path and the clients' exact-read path.
   Bytes buffer;
-  Deadline deadline = options.io_deadline;
-  bool body_bounded = false;
   for (;;) {
     const auto step = FrameCursor::parse(buffer);
     switch (step.state) {
@@ -82,19 +69,12 @@ Result<Frame> read_frame(ByteStream& stream, const FrameReadOptions& options) {
         Frame frame;
         frame.type = step.frame.type;
         frame.budget_millis = step.frame.budget_millis;
-        frame.v2 = step.frame.v2;
         frame.payload.assign(step.frame.payload.begin(),
                              step.frame.payload.end());
         return frame;
       }
       case FrameCursor::State::kNeedHeader:
       case FrameCursor::State::kNeedBody: {
-        // Once the length word is in, the frame has started: the (optional)
-        // body budget applies on top of the caller's overall deadline.
-        if (buffer.size() >= 4 && !body_bounded && options.body_budget > 0) {
-          body_bounded = true;
-          deadline = deadline.min(Deadline::after(options.body_budget));
-        }
         auto chunk = stream.read_exact(step.need - buffer.size(), deadline);
         if (!chunk) return chunk.status();
         append(buffer, chunk.value());

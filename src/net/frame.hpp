@@ -1,23 +1,19 @@
 // Length-prefixed message framing over a ByteStream.
 //
-// Every message on the client↔proxy wire is `u32_be length || type byte ||
-// payload`. The framing layer is deliberately dumb: all confidentiality and
-// integrity comes from the SecureChannel records *inside* the frames, so a
-// network attacker tampering with frames only produces authentication
-// failures at the enclave boundary.
+// Every message on the client↔proxy wire, in both directions, is
 //
-// Version 2 frames carry the request's remaining deadline budget. The top
-// bit of the length word (free: payloads are capped at 4 MiB) marks a v2
-// frame, which inserts a `u32_be budget_millis` between length and type:
+//   u32_be length || u32_be budget_millis || type || payload
 //
-//   v1:  u32_be length          || type || payload
-//   v2:  u32_be (V2 | length)   || u32_be budget_millis || type || payload
+// where `length` counts the type byte plus the payload. The framing layer
+// is deliberately dumb: all confidentiality and integrity comes from the
+// SecureChannel records *inside* the frames, so a network attacker
+// tampering with frames only produces authentication failures at the
+// enclave boundary.
 //
-// budget_millis is *remaining budget*, not an absolute time (the endpoints
-// share no clock); 0 means "no deadline". v1 frames read as "no deadline",
-// so old peers interoperate unchanged, and a receiver answers in the version
-// the sender spoke (negotiation is per-connection, keyed off the first
-// frame received — see ProxyServer).
+// budget_millis is the request's *remaining* deadline budget, not an
+// absolute time (the endpoints share no clock); 0 means "no deadline".
+// Replies carry 0. Every error a peer reports travels as a typed
+// kErrorStatus frame.
 #pragma once
 
 #include <cstdint>
@@ -38,67 +34,42 @@ enum class FrameType : std::uint8_t {
   kBatchQuery = 0x03,     // session id + encrypted batch record (many
                           // queries, ONE seal/open for the whole batch)
   kBatchReply = 0x83,     // encrypted batch response record
-  kErrorStatus = 0x7e,    // u8 status code || human-readable message (v2)
-  kError = 0x7f,          // human-readable error string
+  kErrorStatus = 0x7e,    // u8 status code || human-readable message
 };
 
 struct Frame {
-  FrameType type = FrameType::kError;
+  FrameType type = FrameType::kErrorStatus;
   Bytes payload;
-  /// Remaining request budget carried by a v2 frame; 0 = no deadline.
+  /// Remaining request budget carried by the frame; 0 = no deadline.
   std::uint32_t budget_millis = 0;
-  /// Whether the peer sent this frame with the v2 marker.
-  bool v2 = false;
 };
 
 /// Hard cap keeps a malicious peer from forcing giant allocations.
 inline constexpr std::size_t kMaxFramePayload = 4u * 1024 * 1024;
 
-/// Length-word top bit marking a v2 (budget-carrying) frame.
-inline constexpr std::uint32_t kFrameV2Bit = 0x8000'0000u;
-
-struct FrameWriteOptions {
-  /// Deadline for the socket writes themselves (infinite by default).
-  Deadline io_deadline;
-  /// Emit a v2 frame carrying `budget_millis`. Off by default: a frame
-  /// written without options is byte-identical to the historical protocol.
-  bool carry_budget = false;
-  std::uint32_t budget_millis = 0;
-};
-
-struct FrameReadOptions {
-  /// How long to wait for the frame to start (and, absent a body budget,
-  /// for the whole frame). Infinite by default — servers idle here between
-  /// requests on a healthy connection.
-  Deadline io_deadline;
-  /// Once the length word has arrived, extra bound on reading the rest of
-  /// the frame (0 = none). This is the anti-slowloris knob: an idle peer is
-  /// fine, a peer that *starts* a frame must finish it promptly.
-  Nanos body_budget = 0;
-};
+/// Wire size of the fixed header: length word, budget word, type byte.
+inline constexpr std::size_t kFrameHeaderBytes = 9;
 
 /// Incremental, zero-copy frame parser over a connection's receive buffer.
 ///
-/// Where `read_frame` pulls fresh `Bytes` out of a stream field by field,
-/// the cursor examines whatever bytes the reactor has buffered and either
-/// reports how many more are needed or yields a `View` whose payload is a
-/// span *into the caller's buffer* — no allocation, no copy (the PR 3
-/// tokenizer idiom applied to the wire). The caller owns buffer lifetime:
-/// a View is valid only until the buffer is mutated or the parsed prefix
-/// (`frame_bytes`) is consumed.
+/// Where `read_frame` pulls fresh `Bytes` out of a stream, the cursor
+/// examines whatever bytes the reactor has buffered and either reports how
+/// many more are needed or yields a `View` whose payload is a span *into
+/// the caller's buffer* — no allocation, no copy. The caller owns buffer
+/// lifetime: a View is valid only until the buffer is mutated or the
+/// parsed prefix (`frame_bytes`) is consumed.
 class FrameCursor {
  public:
   /// A parsed frame borrowed from the buffer.
   struct View {
-    FrameType type = FrameType::kError;
+    FrameType type = FrameType::kErrorStatus;
     ByteSpan payload;                  // view into the parsed buffer
-    std::uint32_t budget_millis = 0;   // v2 deadline budget (0 = none)
-    bool v2 = false;
+    std::uint32_t budget_millis = 0;   // deadline budget (0 = none)
     std::size_t frame_bytes = 0;       // total wire size; consume this much
   };
 
   enum class State : std::uint8_t {
-    kNeedHeader,  // length word (or v2 budget word) incomplete
+    kNeedHeader,  // length word, budget word or type byte incomplete
     kNeedBody,    // length known, body incomplete
     kFrame,       // `frame` holds one complete frame
     kError,       // malformed input; the connection is unrecoverable
@@ -115,29 +86,31 @@ class FrameCursor {
   };
 
   /// Examines `buffered` (the unconsumed front of a receive buffer) and
-  /// parses at most one frame. Pure and stateless: re-invoke with a longer
+  /// parses at most one frame. A bad length word is rejected as soon as
+  /// its 4 bytes are in. Pure and stateless: re-invoke with a longer
   /// prefix after reading more, or with the remainder after consuming
   /// `frame_bytes`.
   [[nodiscard]] static Step parse(ByteSpan buffered);
 };
 
-/// Serializes a frame header (length word, optional budget word, type
-/// byte) for `payload_size` payload bytes. The write side of FrameCursor:
-/// queue the header and the payload as separate buffers and a vectored
-/// write sends both without gluing them into a fresh allocation.
-[[nodiscard]] Result<Bytes> encode_frame_header(
-    FrameType type, std::size_t payload_size,
-    const FrameWriteOptions& options = {});
+/// Serializes the 9-byte frame header for `payload_size` payload bytes.
+/// The write side of FrameCursor: queue the header and the payload as
+/// separate buffers and a vectored write sends both without gluing them
+/// into a fresh allocation.
+[[nodiscard]] Result<Bytes> encode_frame_header(FrameType type,
+                                                std::size_t payload_size,
+                                                std::uint32_t budget_millis = 0);
 
-/// Writes one frame.
+/// Writes one frame carrying `deadline`'s remaining budget; the deadline
+/// also bounds the socket writes.
 [[nodiscard]] Status write_frame(ByteStream& stream, FrameType type,
                                  ByteSpan payload,
-                                 const FrameWriteOptions& options = {});
+                                 const Deadline& deadline = Deadline());
 
-/// Reads one frame (either version); DATA_LOSS on malformed/oversized input
-/// or mid-frame EOF, DEADLINE_EXCEEDED past the read options' deadlines.
+/// Reads one frame; DATA_LOSS on malformed/oversized input or mid-frame
+/// EOF, DEADLINE_EXCEEDED past `deadline`.
 [[nodiscard]] Result<Frame> read_frame(ByteStream& stream,
-                                       const FrameReadOptions& options = {});
+                                       const Deadline& deadline = Deadline());
 
 /// Payload helpers for kErrorStatus frames (`u8 code || message`).
 [[nodiscard]] Bytes encode_error_status(const Status& status);

@@ -40,10 +40,6 @@ class FrameProtocol final : public ConnectionProtocol {
 
     const FrameCursor::View& frame = step.frame;
     action.consumed = frame.frame_bytes;
-    if (frame.v2) peer_v2_ = true;
-    const Deadline request_deadline =
-        frame.v2 ? Deadline::from_budget_millis(frame.budget_millis)
-                 : Deadline();
 
     switch (frame.type) {
       case FrameType::kHello:
@@ -68,7 +64,7 @@ class FrameProtocol final : public ConnectionProtocol {
     }
 
     action.dispatch = true;
-    action.deadline = request_deadline;
+    action.deadline = Deadline::from_budget_millis(frame.budget_millis);
     action.job.reserve(1 + frame.payload.size());
     action.job.push_back(static_cast<std::uint8_t>(frame.type));
     append(action.job, frame.payload);
@@ -120,7 +116,7 @@ class FrameProtocol final : public ConnectionProtocol {
             session.value(), payload.subspan(offset), deadline);
         if (!response) {
           Status status = response.status();
-          if (peer_v2_ && status.code() == StatusCode::kUnavailable) {
+          if (status.code() == StatusCode::kUnavailable) {
             // On the query path UNAVAILABLE means the handler's own
             // dependency (fleet worker, enclave) is the problem — tell the
             // client so it stops retrying a proxy that cannot help it.
@@ -141,18 +137,15 @@ class FrameProtocol final : public ConnectionProtocol {
   }
 
   JobResult shed(const Status& status) override {
-    // Shed replies are always typed: a v1-only peer that gets shed reads
-    // an unknown frame type and treats the connection as failed, which is
-    // the correct outcome for it anyway.
     JobResult result;
-    result.reply.push_back(encode_shed_frame(status));
+    result.reply.push_back(encode_error(status));
     result.close = true;
     return result;
   }
 
   /// One contiguous kErrorStatus frame (header glued to payload — error
   /// paths are cold, a copy is fine).
-  [[nodiscard]] static Bytes encode_shed_frame(const Status& status) {
+  [[nodiscard]] static Bytes encode_error(const Status& status) {
     Bytes payload = encode_error_status(status);
     Bytes frame = encode_frame_header(FrameType::kErrorStatus, payload.size())
                       .value();
@@ -161,17 +154,6 @@ class FrameProtocol final : public ConnectionProtocol {
   }
 
  private:
-  /// Typed kErrorStatus for v2 peers, legacy kError text otherwise.
-  [[nodiscard]] Bytes encode_error(const Status& status) const {
-    Bytes payload = peer_v2_ ? encode_error_status(status)
-                             : to_bytes(status.to_string());
-    const FrameType type =
-        peer_v2_ ? FrameType::kErrorStatus : FrameType::kError;
-    Bytes frame = encode_frame_header(type, payload.size()).value();
-    append(frame, payload);
-    return frame;
-  }
-
   /// Queues header + payload as separate buffers; the reactor's vectored
   /// write sends both without a gluing copy.
   static void push_frame(std::vector<Bytes>& out, FrameType type,
@@ -181,9 +163,6 @@ class FrameProtocol final : public ConnectionProtocol {
   }
 
   core::ProxyHandler* proxy_;
-  /// Set once the peer sends any v2 frame; only ever touched by the one
-  /// thread currently driving this connection (see reactor.hpp).
-  bool peer_v2_ = false;
 };
 
 }  // namespace
@@ -213,9 +192,7 @@ Result<std::unique_ptr<ProxyServer>> ProxyServer::start(core::ProxyHandler& prox
   reactor_options.protocol_factory = [handler] {
     return std::make_unique<FrameProtocol>(handler);
   };
-  reactor_options.encode_shed = [](const Status& status) {
-    return FrameProtocol::encode_shed_frame(status);
-  };
+  reactor_options.encode_shed = &FrameProtocol::encode_error;
 
   auto reactor = Reactor::start(std::move(listener).value(),
                                 std::move(reactor_options));

@@ -22,12 +22,12 @@
 // whose own deadline expired while queued is shed with a typed error
 // before the handler runs.
 //
-// Deadline handling: v2 frames carry the client's remaining budget; the
-// server converts it to a local Deadline, refuses already-expired requests
-// before the handler runs (typed DEADLINE_EXCEEDED, exactly-once safe).
-// Clients that ever sent a v2 frame get typed kErrorStatus replies
-// (OVERLOADED/UPSTREAM_DOWN/...); v1 peers keep the legacy kError text
-// frames, byte for byte.
+// Deadline handling: every frame carries the client's remaining budget;
+// the server converts it to a local Deadline and refuses already-expired
+// requests before the handler runs (typed DEADLINE_EXCEEDED, exactly-once
+// safe). Every error reply is a typed kErrorStatus frame
+// (INVALID_ARGUMENT/OVERLOADED/UPSTREAM_DOWN/...); a handler's UNAVAILABLE
+// on the query path is reported as UPSTREAM_DOWN.
 #pragma once
 
 #include <cstdint>
@@ -54,8 +54,8 @@ class ProxyServer {
     /// with a typed OVERLOADED error instead of served (its client has
     /// likely timed out already). 0 = wait forever (historical).
     Nanos queue_timeout = 0;
-    /// Budget for reading a frame's body once its header arrived (slow-
-    /// writer bound) and for draining replies to slow readers. 0 =
+    /// Budget for reading the rest of a frame once its length word arrived
+    /// (slow-writer bound) and for draining replies to slow readers. 0 =
     /// unbounded. Waiting for the NEXT frame is always unbounded — idle
     /// connections are legal — unless `idle_ttl` says otherwise.
     Nanos io_budget = 0;

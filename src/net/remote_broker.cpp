@@ -54,17 +54,12 @@ Status RemoteBroker::connect_within(const Deadline& deadline) {
 
   const auto ephemeral = crypto::x25519_keypair_from_seed(rng_.key());
 
-  FrameWriteOptions write_options;
-  write_options.io_deadline = effective;
-  XS_RETURN_IF_ERROR(write_frame(*stream_, FrameType::kHello,
-                                 ephemeral.public_key, write_options));
-  FrameReadOptions read_options;
-  read_options.io_deadline = effective;
-  auto reply = read_frame(*stream_, read_options);
+  // The hello carries the handshake's own budget, so the server sheds an
+  // attestation the client has already given up on.
+  XS_RETURN_IF_ERROR(
+      write_frame(*stream_, FrameType::kHello, ephemeral.public_key, effective));
+  auto reply = read_frame(*stream_, effective);
   if (!reply) return reply.status();
-  if (reply.value().type == FrameType::kError) {
-    return unavailable("proxy: " + to_string(reply.value().payload));
-  }
   if (reply.value().type == FrameType::kErrorStatus) {
     return decode_error_status(reply.value().payload);
   }
@@ -182,15 +177,7 @@ Result<core::wire::ClientMessage> RemoteBroker::round_trip(
   Bytes payload;
   core::wire::put_u64(payload, session_id_);
   append(payload, channel_->seal(message));
-  FrameWriteOptions write_options;
-  write_options.io_deadline = deadline;
-  if (!deadline.is_infinite()) {
-    // Carry the REMAINING budget (not the original) so every hop downstream
-    // sees how much time the request really has left.
-    write_options.carry_budget = true;
-    write_options.budget_millis = deadline.budget_millis();
-  }
-  if (auto written = write_frame(*stream_, type, payload, write_options);
+  if (auto written = write_frame(*stream_, type, payload, deadline);
       !written.is_ok()) {
     // The frame never reached the transport: retrying cannot duplicate
     // work on the proxy.
@@ -200,26 +187,18 @@ Result<core::wire::ClientMessage> RemoteBroker::round_trip(
   delivered = true;
   ++frames_sent_;
 
-  FrameReadOptions read_options;
-  read_options.io_deadline = deadline;
-  auto reply = read_frame(*stream_, read_options);
+  auto reply = read_frame(*stream_, deadline);
   if (!reply) {
     retryable = true;
     return reply.status();
   }
-  if (reply.value().type == FrameType::kError) {
-    // A frame-level error means the proxy never opened our record (unknown
-    // session, auth failure, busy server): our send counter advanced but
-    // the proxy's receive counter did not, so the channel is unusable —
-    // and since nothing was executed, a retry cannot duplicate work.
-    retryable = true;
-    delivered = false;
-    return unavailable("proxy: " + to_string(reply.value().payload));
-  }
   if (reply.value().type == FrameType::kErrorStatus) {
-    // Same exactly-once refusal, but typed: deadline shed, overload shed,
-    // breaker open, unknown session — the caller (and its breaker) can
-    // tell them apart.
+    // A frame-level error means the proxy never opened our record (unknown
+    // session, auth failure, deadline or overload shed, breaker open): our
+    // send counter advanced but the proxy's receive counter did not, so the
+    // channel is unusable — and since nothing was executed, a retry cannot
+    // duplicate work. The typed status lets the caller (and its breaker)
+    // tell the causes apart.
     retryable = true;
     delivered = false;
     return decode_error_status(reply.value().payload);

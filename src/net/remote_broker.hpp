@@ -9,7 +9,7 @@
 //
 //  * Every call runs under an end-to-end deadline derived from
 //    `Options::request_budget` (0 = none). The deadline bounds every socket
-//    operation, rides the wire as the v2 frame budget so the server can
+//    operation, rides the wire as the frame budget so the server can
 //    refuse work it cannot finish in time, and caps the retry loop.
 //  * The proxy's session table is bounded (LRU + idle TTL), so an
 //    established session can legitimately disappear between two queries;
@@ -51,7 +51,7 @@ class RemoteBroker {
   struct Options {
     /// End-to-end budget for one `search`/`search_batch` call, covering
     /// every attempt, backoff pause, and socket operation. 0 = unbounded
-    /// (the historical behavior). Also carried on the wire (v2 frames) so
+    /// (the historical behavior). Also carried on the wire (frame budget) so
     /// the server sheds work whose budget already expired.
     Nanos request_budget = 0;
     /// Budget for connect + attested handshake (0 = unbounded). Always

@@ -301,8 +301,9 @@ void XSearchProxy::restore_checkpoint() {
   const Status restored =
       restore_history(*enclave_, blob.value(), *history_, &sessions);
   if (!restored.is_ok()) {
-    // Tampered or truncated blob: discard the (possibly partial) replay
-    // and fall back to a clean cold start rather than a corrupt window.
+    // Tampered, truncated or foreign-format blob: discard the (possibly
+    // partial) replay and fall back to a clean cold start rather than a
+    // corrupt window.
     history_ =
         std::make_unique<QueryHistory>(options_.history_capacity, &enclave_->epc());
     obfuscator_ = std::make_unique<Obfuscator>(*history_, options_.k);

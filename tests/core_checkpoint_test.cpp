@@ -196,10 +196,10 @@ TEST(Checkpoint, V2CarriesPerSessionObfuscatorState) {
   EXPECT_EQ(restored.size(), 1u);
 }
 
-TEST(Checkpoint, V1BlobStillRestorable) {
+TEST(Checkpoint, V1BlobIsRejected) {
   // Hand-build a v1 plaintext (magic, version=1, entries — no session
-  // section) and seal it: v2 readers must keep accepting pre-upgrade
-  // checkpoints.
+  // section) and seal it: only the v2 format is readable, so a genuine,
+  // untampered v1 blob is refused as an unsupported version.
   auto enclave = make_enclave();
   Bytes plain;
   wire::put_u32(plain, 0x58534850);  // "XSHP"
@@ -211,9 +211,11 @@ TEST(Checkpoint, V1BlobStillRestorable) {
 
   QueryHistory restored(10);
   SessionObfuscationCounts sessions = {{1, 1}};  // must be cleared
-  ASSERT_TRUE(restore_history(enclave, sealed, restored, &sessions).is_ok());
-  EXPECT_EQ(restored.snapshot(), (std::vector<std::string>{"old one", "old two"}));
+  const Status status = restore_history(enclave, sealed, restored, &sessions);
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_NE(status.message().find("unsupported version"), std::string::npos);
   EXPECT_TRUE(sessions.empty());
+  EXPECT_EQ(restored.size(), 0u);
 }
 
 TEST(Checkpoint, RestoredHistoryFeedsObfuscation) {

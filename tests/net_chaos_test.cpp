@@ -2,9 +2,9 @@
 //
 // Three layers, bottom up:
 //  * frame-level fault satellites — partial writes/reads, dropped and
-//    garbage-corrupted frames, truncated/oversized headers, the slow-writer
-//    body budget — each forced deterministically through a single-fault
-//    FaultPlan (probability 1 for the targeted action);
+//    garbage-corrupted frames, truncated/oversized headers — each forced
+//    deterministically through a single-fault FaultPlan (probability 1 for
+//    the targeted action);
 //  * circuit breakers — the RemoteBroker's client-side breaker fast-fails
 //    without wire I/O while open and recovers through half-open probes on an
 //    injected clock; the XSearchProxy's engine-path breaker stops calling a
@@ -103,34 +103,35 @@ std::shared_ptr<FaultPlan> single_fault_plan(FaultAction action,
 
 // --- frame-level satellites --------------------------------------------------
 
-TEST(ChaosFrame, V2RoundTripPreservesBudget) {
+TEST(ChaosFrame, RoundTripCarriesRemainingBudget) {
   Loopback wire = make_loopback();
   const Bytes payload = to_bytes("budgeted query record");
-  FrameWriteOptions write_options;
-  write_options.carry_budget = true;
-  write_options.budget_millis = 1234;
-  ASSERT_TRUE(write_frame(wire.client, FrameType::kQuery, payload, write_options)
+  // The writer puts the deadline's REMAINING budget on the wire: at most
+  // the original 1234 ms, and only the write's own latency less.
+  ASSERT_TRUE(write_frame(wire.client, FrameType::kQuery, payload,
+                          Deadline::after(1234 * kMilli))
                   .is_ok());
   auto frame = read_frame(wire.server);
   ASSERT_TRUE(frame.is_ok()) << frame.status().to_string();
-  EXPECT_TRUE(frame.value().v2);
-  EXPECT_EQ(frame.value().budget_millis, 1234u);
+  EXPECT_LE(frame.value().budget_millis, 1234u);
+  EXPECT_GT(frame.value().budget_millis, 1000u);
   EXPECT_EQ(frame.value().type, FrameType::kQuery);
   EXPECT_EQ(frame.value().payload, payload);
 }
 
-TEST(ChaosFrame, V1FrameReadsAsNoDeadline) {
+TEST(ChaosFrame, InfiniteDeadlineReadsAsBudgetZero) {
   Loopback wire = make_loopback();
-  ASSERT_TRUE(write_frame(wire.client, FrameType::kQuery, to_bytes("q")).is_ok());
+  ASSERT_TRUE(write_frame(wire.client, FrameType::kQuery, to_bytes("q"),
+                          Deadline::infinite())
+                  .is_ok());
   auto frame = read_frame(wire.server);
   ASSERT_TRUE(frame.is_ok());
-  EXPECT_FALSE(frame.value().v2);
   EXPECT_EQ(frame.value().budget_millis, 0u);  // wire meaning: no deadline
 }
 
 TEST(ChaosFrame, TruncatedFrameIsDataLoss) {
   Loopback wire = make_loopback();
-  // Header promises a 10-byte body, then the peer dies mid-frame.
+  // Length word promises a 10-byte frame, then the peer dies mid-header.
   const Bytes header = {0x00, 0x00, 0x00, 0x0a};
   ASSERT_TRUE(wire.client.write_all(header).is_ok());
   wire.client.shutdown_both();
@@ -159,21 +160,6 @@ TEST(ChaosFrame, ZeroAndOversizedLengthsAreDataLoss) {
   }
 }
 
-TEST(ChaosFrame, BodyBudgetBoundsSlowWriter) {
-  Loopback wire = make_loopback();
-  // The anti-slowloris knob: a peer that starts a frame must finish it.
-  const Bytes header = {0x00, 0x00, 0x00, 0x20};  // promises 32 bytes, sends 0
-  ASSERT_TRUE(wire.client.write_all(header).is_ok());
-  FrameReadOptions read_options;
-  read_options.body_budget = 30 * kMilli;
-  const auto started = std::chrono::steady_clock::now();
-  auto frame = read_frame(wire.server, read_options);
-  const auto elapsed = std::chrono::steady_clock::now() - started;
-  ASSERT_FALSE(frame.is_ok());
-  EXPECT_EQ(frame.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_LT(elapsed, std::chrono::seconds(3));  // bounded, not a hang
-}
-
 TEST(ChaosSocketFaults, PartialWriteResetsBothSides) {
   Loopback wire = make_loopback();
   ChaosSocket chaotic(std::move(wire.client),
@@ -185,9 +171,7 @@ TEST(ChaosSocketFaults, PartialWriteResetsBothSides) {
   ASSERT_FALSE(written.is_ok());
   EXPECT_EQ(written.code(), StatusCode::kUnavailable);
   // ...and the reader a truncated frame (EOF mid-header), never a hang.
-  FrameReadOptions read_options;
-  read_options.io_deadline = Deadline::after(kSecond);
-  auto frame = read_frame(wire.server, read_options);
+  auto frame = read_frame(wire.server, Deadline::after(kSecond));
   ASSERT_FALSE(frame.is_ok());
   EXPECT_EQ(frame.status().code(), StatusCode::kDataLoss);
 }
@@ -211,9 +195,7 @@ TEST(ChaosSocketFaults, DroppedWriteIsSilentUntilTheReadDeadline) {
   // sees success — only a read deadline can surface it.
   ASSERT_TRUE(write_frame(chaotic, FrameType::kQuery, to_bytes("vanishes"))
                   .is_ok());
-  FrameReadOptions read_options;
-  read_options.io_deadline = Deadline::after(100 * kMilli);
-  auto frame = read_frame(wire.server, read_options);
+  auto frame = read_frame(wire.server, Deadline::after(100 * kMilli));
   ASSERT_FALSE(frame.is_ok());
   // The payload bytes arrive without their header: the reader misparses
   // them as an out-of-range length (DATA_LOSS) or times out waiting for
@@ -229,9 +211,7 @@ TEST(ChaosSocketFaults, GarbageCorruptionNeverReadsAsTheOriginalFrame) {
                       single_fault_plan(FaultAction::kGarbage));
   const Bytes payload = to_bytes("pristine payload");
   ASSERT_TRUE(write_frame(chaotic, FrameType::kQuery, payload).is_ok());
-  FrameReadOptions read_options;
-  read_options.io_deadline = Deadline::after(100 * kMilli);
-  auto frame = read_frame(wire.server, read_options);
+  auto frame = read_frame(wire.server, Deadline::after(100 * kMilli));
   if (frame.is_ok()) {
     // The corruption hit the type byte or spilled into the payload: the
     // frame must not round-trip unchanged (integrity is the secure

@@ -7,9 +7,9 @@
 //  * the write path — a multi-hundred-KiB reply draining to a deliberately
 //    slow reader through partial vectored writes and EPOLLOUT;
 //  * timer-wheel housekeeping — idle-TTL reaping that spares active
-//    sessions;
-//  * layered shedding — dispatch-queue overflow, requests whose v2 deadline
-//    expired while queued, and EMFILE/ENFILE accept backoff (bounded retry
+//    sessions, and the io budget closing a peer that stalls mid-frame;
+//  * layered shedding — dispatch-queue overflow, requests whose frame
+//    deadline expired while queued, and EMFILE/ENFILE accept backoff (bounded retry
 //    rate, typed counter, full recovery);
 //  * wire chaos — a seeded client-side FaultPlan (drops, resets, garbage)
 //    produces typed failures only, never hangs, and the server serves
@@ -76,9 +76,7 @@ class EchoProtocol final : public ConnectionProtocol {
       action.close = true;
       return action;
     }
-    if (step.frame.v2) {
-      action.deadline = Deadline::from_budget_millis(step.frame.budget_millis);
-    }
+    action.deadline = Deadline::from_budget_millis(step.frame.budget_millis);
     action.dispatch = true;
     action.job.assign(step.frame.payload.begin(), step.frame.payload.end());
     return action;
@@ -155,61 +153,42 @@ EchoServer start_echo(Reactor::Options options = {}) {
 }
 
 Status send_query(TcpStream& stream, const std::string& command,
-                  std::uint32_t budget_millis = 0) {
-  FrameWriteOptions options;
-  if (budget_millis > 0) {
-    options.carry_budget = true;
-    options.budget_millis = budget_millis;
-  }
-  return write_frame(stream, FrameType::kQuery, to_bytes(command), options);
+                  const Deadline& deadline = Deadline()) {
+  return write_frame(stream, FrameType::kQuery, to_bytes(command), deadline);
 }
 
 Result<Frame> read_reply(TcpStream& stream, Nanos timeout = 5 * kSecond) {
-  FrameReadOptions options;
-  options.io_deadline = Deadline::after(timeout);
-  return read_frame(stream, options);
+  return read_frame(stream, Deadline::after(timeout));
 }
 
 // --- FrameCursor satellites --------------------------------------------------
 
 TEST(FrameCursor, ParsesOneByteAtATime) {
-  // v1 frame.
-  Bytes wire = encode_frame_header(FrameType::kQuery, 11).value();
-  append(wire, to_bytes("hello world"));
-  for (std::size_t len = 0; len < wire.size(); ++len) {
-    const auto step = FrameCursor::parse(ByteSpan(wire.data(), len));
-    ASSERT_NE(step.state, FrameCursor::State::kFrame) << "at " << len;
-    ASSERT_NE(step.state, FrameCursor::State::kError) << "at " << len;
-    // The need hint never asks for less than what makes progress possible.
-    EXPECT_GT(step.need, len);
-  }
-  const auto done = FrameCursor::parse(wire);
-  ASSERT_EQ(done.state, FrameCursor::State::kFrame);
-  EXPECT_EQ(done.frame.type, FrameType::kQuery);
-  EXPECT_EQ(to_string(done.frame.payload), "hello world");
-  EXPECT_FALSE(done.frame.v2);
-  EXPECT_EQ(done.frame.frame_bytes, wire.size());
+  // One header layout; the budget word is carried whatever its value
+  // (0 = no deadline).
+  for (const std::uint32_t budget : {0u, 1234u}) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    Bytes wire = encode_frame_header(FrameType::kQuery, 11, budget).value();
+    ASSERT_EQ(wire.size(), kFrameHeaderBytes);
+    append(wire, to_bytes("hello world"));
+    for (std::size_t len = 0; len < wire.size(); ++len) {
+      const auto step = FrameCursor::parse(ByteSpan(wire.data(), len));
+      ASSERT_NE(step.state, FrameCursor::State::kFrame) << "at " << len;
+      ASSERT_NE(step.state, FrameCursor::State::kError) << "at " << len;
+      // The need hint never asks for less than what makes progress possible.
+      EXPECT_GT(step.need, len);
+    }
+    const auto done = FrameCursor::parse(wire);
+    ASSERT_EQ(done.state, FrameCursor::State::kFrame);
+    EXPECT_EQ(done.frame.type, FrameType::kQuery);
+    EXPECT_EQ(done.frame.budget_millis, budget);
+    EXPECT_EQ(to_string(done.frame.payload), "hello world");
+    EXPECT_EQ(done.frame.frame_bytes, wire.size());
 
-  // v2 frame: budget survives, payload view is identical.
-  FrameWriteOptions v2;
-  v2.carry_budget = true;
-  v2.budget_millis = 1234;
-  Bytes wire2 = encode_frame_header(FrameType::kQuery, 2, v2).value();
-  append(wire2, to_bytes("hi"));
-  for (std::size_t len = 0; len < wire2.size(); ++len) {
-    const auto step = FrameCursor::parse(ByteSpan(wire2.data(), len));
-    ASSERT_NE(step.state, FrameCursor::State::kFrame) << "at " << len;
-    ASSERT_NE(step.state, FrameCursor::State::kError) << "at " << len;
+    // The payload is a view into the caller's buffer, not a copy.
+    EXPECT_EQ(static_cast<const void*>(done.frame.payload.data()),
+              static_cast<const void*>(wire.data() + 9));
   }
-  const auto done2 = FrameCursor::parse(wire2);
-  ASSERT_EQ(done2.state, FrameCursor::State::kFrame);
-  EXPECT_TRUE(done2.frame.v2);
-  EXPECT_EQ(done2.frame.budget_millis, 1234u);
-  EXPECT_EQ(to_string(done2.frame.payload), "hi");
-
-  // The payload is a view into the caller's buffer, not a copy.
-  EXPECT_EQ(static_cast<const void*>(done.frame.payload.data()),
-            static_cast<const void*>(wire.data() + 5));
 }
 
 TEST(FrameCursor, RejectsBadLengths) {
@@ -369,6 +348,45 @@ TEST(ReactorTest, IdleTtlReapsOnlyIdleConnections) {
   server.reactor->stop();
 }
 
+TEST(ReactorTest, StalledFrameClosedAfterIoBudget) {
+  // The slow-writer bound: a peer that starts a frame must finish it within
+  // io_budget. A peer that has started nothing is idle, which is legal.
+  Reactor::Options options;
+  options.io_budget = 80 * kMilli;
+  auto server = start_echo(std::move(options));
+
+  auto idle = TcpStream::connect("127.0.0.1", server.reactor->port());
+  ASSERT_TRUE(idle.is_ok());
+  auto stalled = TcpStream::connect("127.0.0.1", server.reactor->port());
+  ASSERT_TRUE(stalled.is_ok());
+  ASSERT_TRUE(
+      eventually([&] { return server.reactor->active_connections() == 2; }));
+
+  // A length word promising a 32-byte frame, then nothing more.
+  const Bytes length_word = {0x00, 0x00, 0x00, 0x20};
+  const auto started = std::chrono::steady_clock::now();
+  ASSERT_TRUE(stalled.value().write_all(length_word).is_ok());
+  auto closed = read_frame(stalled.value(), Deadline::after(3 * kSecond));
+  const auto elapsed = std::chrono::steady_clock::now() - started;
+  ASSERT_FALSE(closed.is_ok());
+  // The server hung up (EOF or reset); the client did not time out.
+  EXPECT_NE(closed.status().code(), StatusCode::kDeadlineExceeded)
+      << closed.status().to_string();
+  EXPECT_GE(elapsed, std::chrono::milliseconds(80));
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
+
+  // The idle peer outlives several budgets and still gets served.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_TRUE(
+      eventually([&] { return server.reactor->active_connections() == 1; }));
+  EXPECT_EQ(server.reactor->idle_reaped(), 0u);
+  ASSERT_TRUE(send_query(idle.value(), "echo:still idle").is_ok());
+  auto reply = read_reply(idle.value());
+  ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
+  EXPECT_EQ(to_string(reply.value().payload), "still idle");
+  server.reactor->stop();
+}
+
 // --- reactor: layered shedding -----------------------------------------------
 
 TEST(ReactorTest, DeadlineExpiredWhileQueuedIsShedTyped) {
@@ -383,12 +401,12 @@ TEST(ReactorTest, DeadlineExpiredWhileQueuedIsShedTyped) {
   ASSERT_TRUE(send_query(holder.value(), "gate").is_ok());
   ASSERT_TRUE(eventually([&] { return server.env->gate_entered.load() == 1; }));
 
-  // This request's own end-to-end budget (v2 frame) expires while it waits
-  // for the worker.
+  // This request's own end-to-end budget (carried by its frame) expires
+  // while it waits for the worker.
   auto doomed = TcpStream::connect("127.0.0.1", server.reactor->port());
   ASSERT_TRUE(doomed.is_ok());
   ASSERT_TRUE(send_query(doomed.value(), "echo:too late",
-                         /*budget_millis=*/20)
+                         Deadline::after(20 * kMilli))
                   .is_ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(120));
   server.env->gate_open.store(true);
@@ -525,9 +543,7 @@ TEST(ReactorChaos, SeededFaultsAreTypedNeverHangsThenRecovers) {
       const Status sent =
           write_frame(chaotic, FrameType::kQuery, to_bytes("echo:" + msg));
       if (sent.is_ok()) {
-        FrameReadOptions read_options;
-        read_options.io_deadline = Deadline::after(500 * kMilli);
-        auto reply = read_frame(chaotic, read_options);
+        auto reply = read_frame(chaotic, Deadline::after(500 * kMilli));
         if (reply.is_ok() && reply.value().type == FrameType::kQueryReply) {
           // Clean round trip: the echo must be intact.
           EXPECT_EQ(to_string(reply.value().payload), msg);
