@@ -2,8 +2,9 @@
 //
 // Paper claims (§6.3): X-Search serves ~25,000 req/s with sub-second
 // latency; PEAS saturates around 1,000 req/s; Tor around 100 req/s — one
-// and two orders of magnitude apart. Measurements are taken with a
-// wrk2-style open-loop generator and the proxies configured to reply
+// and two orders of magnitude apart. Measured wrk2-style by
+// api::run_open_loop_batch (the one open-loop driver; it reports its own
+// lateness as late_p50/late_max, in us) with the proxies replying
 // immediately (no live engine), isolating proxy capacity.
 //
 // Every mechanism is driven through the unified PrivateSearchClient API:
@@ -18,7 +19,8 @@
 // fake generation; Tor: three onion layers each way). What is calibrated:
 // a per-request stack/network service cost per system
 // (netsim::service_costs::for_mechanism) sized so the saturation knees land
-// at the paper's magnitudes — documented in EXPERIMENTS.md.
+// at the paper's magnitudes (ARCHITECTURE.md, "Measured vs modelled"); the
+// JSON marks such rows "modeled": true.
 //
 // The special name "xsearch-remote" drives the same saturation load over
 // real TCP: an in-process ProxyServer fronts the proxy, the unified client
@@ -27,13 +29,14 @@
 // pool-served connection path concurrently, end to end, and reports the
 // session-lifecycle counters afterwards.
 //
-// The special name "xsearch-sessions" is the concurrent-scaling mode: one
-// shared saturation proxy, S closed-loop client sessions on S threads for
-// S in {1,2,4,8}. With per-session RNG streams and reader/writer history
-// there is no global lock on the query path, so aggregate throughput should
-// track the hardware parallelism available instead of flattening against a
-// serialization point (on a 1-core container it stays level; the thing to
-// check is that it does not *collapse* as sessions are added).
+// The closed-loop modes share run_closed_loop. "xsearch-sessions" is the
+// concurrent-scaling mode: one shared saturation proxy, S closed-loop
+// client sessions on S threads for S in {1,2,4,8}. With per-session RNG
+// streams and reader/writer history there is no global lock on the query
+// path, so aggregate throughput should track the hardware parallelism
+// available instead of flattening against a serialization point (on a
+// 1-core container it stays level; the thing to check is that it does not
+// *collapse* as sessions are added).
 //
 // The special name "xsearch-switchless" is the boundary-transport mode:
 // the same 4-session closed loop run twice against one saturation proxy —
@@ -74,8 +77,8 @@
 // failed searches (shed), and p99 latency. See run_degraded_sweep below.
 //
 // Besides the stdout table, every run writes machine-readable JSON (default
-// BENCH_fig5.json, or pass --json=PATH) with one object per measured row,
-// uploaded by the CI release-bench job so perf numbers accumulate per PR.
+// BENCH_fig5.json, or pass --json=PATH): the host shape and one object per
+// measured row, uploaded by the CI release-bench job per PR.
 //
 // Run: ./build/bench/fig5_throughput_latency [--json=PATH] [--mode=NAME]
 //      [mechanism...]
@@ -83,16 +86,18 @@
 //      xsearch-sessions, xsearch-switchless, xsearch-fleet,
 //      xsearch-recovery, xsearch-degraded or xsearch-idle-sweep;
 //      --mode=NAME is shorthand for appending NAME to the mechanism list)
+#include <sched.h>
 #include <sys/resource.h>
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <latch>
 #include <map>
 #include <memory>
 #include <string>
@@ -106,7 +111,6 @@
 #include "api/xsearch_options.hpp"
 #include "bench_common.hpp"
 #include "crypto/x25519.hpp"
-#include "loadgen/loadgen.hpp"
 #include "net/chaos.hpp"
 #include "net/fleet_supervisor.hpp"
 #include "net/proxy_fleet.hpp"
@@ -122,8 +126,7 @@
 namespace {
 
 using namespace xsearch;  // NOLINT
-
-constexpr std::size_t kWorkers = 4;
+using namespace std::chrono_literals;  // NOLINT
 
 /// One measured row, kept for the JSON dump. `sessions` is only meaningful
 /// for the xsearch-sessions sweep, `workers`/`batch` for the xsearch-fleet
@@ -145,19 +148,13 @@ struct JsonRow {
   std::size_t history_depth = 0;
   /// xsearch-idle-sweep only: resident-memory growth per held session.
   double rss_kb = 0.0;
+  /// Open-loop rows (offered_rps > 0) only: the generator's lateness (us).
+  double late_us_p50 = 0.0;
+  double late_us_max = 0.0;
+  bool modeled = false;  // service time includes a calibrated stack cost
 };
 
 std::vector<JsonRow> g_rows;
-
-void print_row(const std::string& system, const loadgen::LoadReport& report) {
-  std::printf("%-16s %10.0f %12.1f %10.3f %10.3f %10.3f %8llu\n",
-              system.c_str(), report.offered_rps, report.achieved_rps,
-              report.mean_ms(), report.p50_ms(), report.p99_ms(),
-              static_cast<unsigned long long>(report.dropped));
-  g_rows.push_back({system, report.offered_rps, report.achieved_rps,
-                    report.mean_ms(), report.p50_ms(), report.p99_ms(),
-                    report.dropped, 0, 0, 0});
-}
 
 /// Minimal JSON string escaping (mechanism names come from argv).
 std::string json_escape(const std::string& s) {
@@ -171,10 +168,31 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+/// The value of the first "`key`<blanks>:<blanks>value" line of a /proc
+/// file, or "" (VmRSS in /proc/self/status, model name in /proc/cpuinfo).
+std::string proc_field(const char* path, const std::string& key) {
+  std::ifstream file(path);
+  for (std::string line; std::getline(file, line);) {
+    if (line.rfind(key, 0) != 0) continue;
+    const auto value = line.find_first_not_of(" \t", line.find(':') + 1);
+    return value == std::string::npos ? "" : line.substr(value);
+  }
+  return "";
+}
+
 bool write_json(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
-  std::fprintf(f, "{\n  \"figure\": \"fig5_throughput_latency\",\n  \"rows\": [\n");
+  const std::string cpu = proc_field("/proc/cpuinfo", "model name");
+  cpu_set_t usable;  // the CPUs `nproc` counts
+  const int nproc = ::sched_getaffinity(0, sizeof usable, &usable) == 0
+                        ? CPU_COUNT(&usable)
+                        : static_cast<int>(std::thread::hardware_concurrency());
+  std::fprintf(f,
+               "{\n  \"figure\": \"fig5_throughput_latency\",\n"
+               "  \"host\": {\"nproc\": %d, \"cpu_model\": \"%s\"},\n"
+               "  \"rows\": [\n",
+               nproc, json_escape(cpu.empty() ? "unknown" : cpu).c_str());
   for (std::size_t i = 0; i < g_rows.size(); ++i) {
     const JsonRow& r = g_rows[i];
     std::fprintf(f,
@@ -183,11 +201,16 @@ bool write_json(const std::string& path) {
                  "\"p99_ms\": %.3f, \"dropped\": %llu, \"sessions\": %zu, "
                  "\"workers\": %zu, \"batch\": %zu, \"mode\": \"%s\", "
                  "\"phase\": \"%s\", \"history_depth\": %zu, "
-                 "\"rss_kb_per_session\": %.2f}%s\n",
+                 "\"rss_kb_per_session\": %.2f",
                  json_escape(r.system).c_str(), r.offered_rps, r.achieved_rps, r.mean_ms,
                  r.p50_ms, r.p99_ms, static_cast<unsigned long long>(r.dropped),
                  r.sessions, r.workers, r.batch, json_escape(r.mode).c_str(),
-                 json_escape(r.phase).c_str(), r.history_depth, r.rss_kb,
+                 json_escape(r.phase).c_str(), r.history_depth, r.rss_kb);
+    if (r.offered_rps > 0) {
+      std::fprintf(f, ", \"gen_late_us_p50\": %.1f, \"gen_late_us_max\": %.1f",
+                   r.late_us_p50, r.late_us_max);
+    }
+    std::fprintf(f, "%s}%s\n", r.modeled ? ", \"modeled\": true" : "",
                  i + 1 < g_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -195,59 +218,174 @@ bool write_json(const std::string& path) {
   return true;
 }
 
-/// Concurrent-session closed-loop sweep over one shared saturation proxy.
-void run_session_sweep(const api::ClientConfig& config) {
-  xsearch::sgx::AttestationAuthority authority(
-      xsearch::to_bytes("fig5-sessions-root"));
-  core::XSearchProxy::Options options = api::xsearch_proxy_options(config);
+/// The value at percentile `pct` of `values` (sorted in place); 0 if empty.
+double percentile(std::vector<double>& values, std::size_t pct) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  return values[values.size() * pct / 100];
+}
+
+// ---- shared deployment and closed-loop scaffolding --------------------------
+
+/// Whether `status` is OK; prints "what: status" when it is not.
+bool ok(const std::string& what, const Status& status) {
+  if (status.is_ok()) return true;
+  std::fprintf(stderr, "%s: %s\n", what.c_str(), status.to_string().c_str());
+  return false;
+}
+template <typename T>
+bool ok(const std::string& what, const Result<T>& result) {
+  return ok(what, result.status());
+}
+
+/// A saturation-mode proxy (no engine), or null after printing why not.
+std::unique_ptr<core::XSearchProxy> saturation_proxy(
+    const std::string& mode, const sgx::AttestationAuthority& authority,
+    core::XSearchProxy::Options options) {
   options.contact_engine = false;
   auto proxy = core::XSearchProxy::create(nullptr, authority, options);
-  if (!proxy.is_ok()) {
-    std::fprintf(stderr, "xsearch-sessions proxy: %s\n",
-                 proxy.status().to_string().c_str());
-    return;
-  }
+  return ok(mode + " proxy", proxy) ? std::move(proxy).value() : nullptr;
+}
 
-  constexpr auto kDuration = std::chrono::milliseconds(400);
-  for (const std::size_t sessions : {1u, 2u, 4u, 8u}) {
-    std::atomic<bool> go{false};
-    std::atomic<bool> stop{false};
-    std::atomic<std::size_t> ready{0};
-    std::atomic<std::uint64_t> completed{0};
-    std::vector<std::thread> threads;
-    threads.reserve(sessions);
-    for (std::size_t s = 0; s < sessions; ++s) {
-      threads.emplace_back([&, s] {
-        core::ClientBroker broker(*proxy.value(), authority,
-                                  proxy.value()->measurement(), 9000 + s);
-        // Handshake before the clock starts: attestation serializes on
-        // handshake_mutex_ and would bias S=1 vs S=8 if timed.
-        const bool connected = broker.connect().is_ok();
-        ready.fetch_add(1, std::memory_order_release);
-        if (!connected) return;
-        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-        std::uint64_t done = 0;
-        while (!stop.load(std::memory_order_relaxed)) {
-          if (broker.search("concurrent scaling probe").is_ok()) ++done;
+/// A proxy or fleet served on an ephemeral loopback port.
+template <typename Handler>
+struct Served {
+  std::unique_ptr<Handler> handler;
+  std::unique_ptr<net::ProxyServer> server;  // null: it did not start
+};
+
+template <typename Handler>
+Served<Handler> serve(const std::string& mode,
+                      Result<std::unique_ptr<Handler>> created) {
+  Served<Handler> served;
+  if (!ok(mode, created)) return served;
+  auto server = net::ProxyServer::start(*created.value());
+  if (!ok(mode + " server", server)) return served;
+  served.handler = std::move(created).value();
+  served.server = std::move(server).value();
+  return served;
+}
+
+/// One closed-loop call; returns the queries it answered (0: it failed).
+using SessionCall = std::function<std::uint64_t()>;
+
+/// Connects `broker` (ClientBroker or RemoteBroker); its call is one search
+/// of `query`, or one batch of `batch` copies. Empty if the connect fails.
+template <typename Broker>
+SessionCall search_call(std::shared_ptr<Broker> broker, std::string query,
+                        std::size_t batch = 1) {
+  if (!broker->connect().is_ok()) return {};
+  if (batch == 1) {
+    return [broker, query]() -> std::uint64_t {
+      return broker->search(query).is_ok() ? 1 : 0;
+    };
+  }
+  return [broker, queries = std::vector<std::string>(batch, query)]() -> std::uint64_t {
+    auto outcomes = broker->search_batch(queries);
+    return outcomes.is_ok() ? outcomes.value().size() : 0;
+  };
+}
+
+struct ClosedLoop {
+  std::size_t sessions = 1;
+  std::chrono::milliseconds window = 400ms;  // per phase
+  std::size_t phases = 1;
+  /// Runs as each phase starts; phase 0's once every session is connected
+  /// and before the first call.
+  std::function<void(std::size_t)> on_phase;
+  bool timed = false;  // record each call's latency
+};
+
+struct PhaseTally {
+  std::uint64_t completed = 0;     // queries answered
+  std::uint64_t failed = 0;        // calls that failed
+  double secs = 0.0;               // phase wall time
+  std::vector<double> latency_ms;  // per call, when timed
+
+  [[nodiscard]] double qps() const {
+    return secs > 0 ? static_cast<double>(completed) / secs : 0.0;
+  }
+};
+
+/// Runs `plan.sessions` threads. Thread s connects via `open(s)` before the
+/// clock starts (attestation serializes in the proxy and would bias 1 vs
+/// many sessions if timed), then repeats the call through `plan.phases`
+/// back-to-back windows, booking each call to the phase it started in.
+std::vector<PhaseTally> run_closed_loop(
+    const ClosedLoop& plan, const std::function<SessionCall(std::size_t)>& open) {
+  std::atomic<std::size_t> phase{0};
+  std::atomic<bool> stop{false};
+  std::latch connected(static_cast<std::ptrdiff_t>(plan.sessions));
+  std::latch go(1);
+  std::vector<std::vector<PhaseTally>> per_session(plan.sessions);
+  std::vector<std::thread> threads;
+  threads.reserve(plan.sessions);
+  for (std::size_t s = 0; s < plan.sessions; ++s) {
+    threads.emplace_back([&, s] {
+      const SessionCall call = open(s);
+      connected.count_down();
+      go.wait();
+      std::vector<PhaseTally> mine(plan.phases);
+      while (call && !stop.load(std::memory_order_relaxed)) {
+        PhaseTally& tally = mine[phase.load(std::memory_order_relaxed)];
+        const Nanos t0 = wall_now();
+        const std::uint64_t answered = call();
+        if (plan.timed) {
+          tally.latency_ms.push_back(static_cast<double>(wall_now() - t0) /
+                                     static_cast<double>(kMilli));
         }
-        completed.fetch_add(done, std::memory_order_relaxed);
-      });
+        tally.completed += answered;
+        tally.failed += answered == 0 ? 1 : 0;
+      }
+      per_session[s] = std::move(mine);
+    });
+  }
+  connected.wait();
+
+  std::vector<PhaseTally> phases(plan.phases);
+  for (std::size_t p = 0; p < plan.phases; ++p) {
+    const Nanos t0 = wall_now();
+    phase.store(p, std::memory_order_relaxed);
+    if (plan.on_phase) plan.on_phase(p);
+    if (p == 0) go.count_down();
+    std::this_thread::sleep_for(plan.window);
+    if (p + 1 == plan.phases) {
+      stop.store(true, std::memory_order_relaxed);
+      for (auto& t : threads) t.join();
     }
-    while (ready.load(std::memory_order_acquire) < sessions)
-      std::this_thread::yield();
-    const auto t0 = std::chrono::steady_clock::now();
-    go.store(true, std::memory_order_release);
-    std::this_thread::sleep_for(kDuration);
-    stop.store(true, std::memory_order_relaxed);
-    for (auto& t : threads) t.join();
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    const double rps = static_cast<double>(completed.load()) / secs;
+    phases[p].secs = static_cast<double>(wall_now() - t0) /
+                     static_cast<double>(kSecond);
+  }
+  for (const auto& session : per_session) {
+    for (std::size_t p = 0; p < plan.phases; ++p) {
+      phases[p].completed += session[p].completed;
+      phases[p].failed += session[p].failed;
+      phases[p].latency_ms.insert(phases[p].latency_ms.end(),
+                                  session[p].latency_ms.begin(),
+                                  session[p].latency_ms.end());
+    }
+  }
+  return phases;
+}
+
+/// Concurrent-session closed-loop sweep over one shared saturation proxy.
+void run_session_sweep(const api::ClientConfig& config) {
+  sgx::AttestationAuthority authority(to_bytes("fig5-sessions-root"));
+  const auto proxy = saturation_proxy("xsearch-sessions", authority,
+                                      api::xsearch_proxy_options(config));
+  if (proxy == nullptr) return;
+
+  for (const std::size_t sessions : {1u, 2u, 4u, 8u}) {
+    const double rps =
+        run_closed_loop({.sessions = sessions}, [&](std::size_t s) {
+          return search_call(std::make_shared<core::ClientBroker>(
+                                 *proxy, authority, proxy->measurement(), 9000 + s),
+                             "concurrent scaling probe");
+        })[0].qps();
     std::printf("%-16s %9zu* %12.1f %10s %10s %10s %8s\n", "xsearch-sessions",
                 sessions, rps, "-", "-", "-", "-");
-    g_rows.push_back({"xsearch-sessions", 0.0, rps, 0.0, 0.0, 0.0, 0,
-                      sessions});
+    g_rows.push_back({.system = "xsearch-sessions", .achieved_rps = rps,
+                      .sessions = sessions});
   }
   std::printf("# *closed-loop: column is concurrent sessions, not offered rps\n");
 }
@@ -259,81 +397,51 @@ void run_session_sweep(const api::ClientConfig& config) {
 /// ~0 while the throughput columns show what the extra scheduler hop costs
 /// on this box (hardware SGX would bank ~8us per avoided crossing instead).
 void run_switchless_sweep(const api::ClientConfig& config) {
-  xsearch::sgx::AttestationAuthority authority(
-      xsearch::to_bytes("fig5-switchless-root"));
+  sgx::AttestationAuthority authority(to_bytes("fig5-switchless-root"));
   constexpr std::size_t kSessions = 4;
-  constexpr auto kDuration = std::chrono::milliseconds(400);
 
   for (const bool switchless : {false, true}) {
     core::XSearchProxy::Options options = api::xsearch_proxy_options(config);
-    options.contact_engine = false;
     options.switchless.enabled = switchless;
     options.switchless.ring_depth = 64;
     options.switchless.workers = 2;
     options.switchless.pickup_patience = 20 * kMilli;
-    auto proxy = core::XSearchProxy::create(nullptr, authority, options);
-    if (!proxy.is_ok()) {
-      std::fprintf(stderr, "xsearch-switchless proxy: %s\n",
-                   proxy.status().to_string().c_str());
-      return;
-    }
+    const auto proxy = saturation_proxy("xsearch-switchless", authority, options);
+    if (proxy == nullptr) return;
 
-    std::atomic<bool> go{false};
-    std::atomic<bool> stop{false};
-    std::atomic<std::size_t> ready{0};
-    std::atomic<std::uint64_t> completed{0};
-    std::vector<std::thread> threads;
-    threads.reserve(kSessions);
-    for (std::size_t s = 0; s < kSessions; ++s) {
-      threads.emplace_back([&, s] {
-        core::ClientBroker broker(*proxy.value(), authority,
-                                  proxy.value()->measurement(), 9500 + s);
-        const bool connected = broker.connect().is_ok();
-        ready.fetch_add(1, std::memory_order_release);
-        if (!connected) return;
-        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-        std::uint64_t done = 0;
-        while (!stop.load(std::memory_order_relaxed)) {
-          if (broker.search("switchless boundary probe").is_ok()) ++done;
-        }
-        completed.fetch_add(done, std::memory_order_relaxed);
-      });
-    }
-    while (ready.load(std::memory_order_acquire) < kSessions)
-      std::this_thread::yield();
-    const auto before = proxy.value()->enclave().transition_stats();
-    const auto t0 = std::chrono::steady_clock::now();
-    go.store(true, std::memory_order_release);
-    std::this_thread::sleep_for(kDuration);
-    stop.store(true, std::memory_order_relaxed);
-    for (auto& t : threads) t.join();
-    const auto after = proxy.value()->enclave().transition_stats();
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    const std::uint64_t queries = completed.load();
-    const double rps = static_cast<double>(queries) / secs;
+    // Counted from after the handshakes, which are ecalls too.
+    sgx::TransitionStats before;
+    const PhaseTally tally = run_closed_loop(
+        {.sessions = kSessions,
+         .on_phase = [&](std::size_t) { before = proxy->enclave().transition_stats(); }},
+        [&](std::size_t s) {
+          return search_call(std::make_shared<core::ClientBroker>(
+                                 *proxy, authority, proxy->measurement(), 9500 + s),
+                             "switchless boundary probe");
+        })[0];
+    const auto after = proxy->enclave().transition_stats();
     const double transitions_per_query =
-        queries == 0 ? 0.0
-                     : static_cast<double>(after.ecalls - before.ecalls) /
-                           static_cast<double>(queries);
-    const auto ring = proxy.value()->ring_stats();
-    const char* phase = switchless ? "switchless" : "ecall";
+        tally.completed == 0 ? 0.0
+                             : static_cast<double>(after.ecalls - before.ecalls) /
+                                   static_cast<double>(tally.completed);
+    const auto ring = proxy->ring_stats();
+    const char* mode = switchless ? "switchless" : "ecall";
 
     std::printf("%-16s %9zu* %12.1f %10s %10s %10s %8.3f\n",
-                "xsearch-switchless", kSessions, rps, "-", "-",
-                phase, transitions_per_query);
+                "xsearch-switchless", kSessions, tally.qps(), "-", "-",
+                mode, transitions_per_query);
     std::printf(
         "# %s: %llu queries, %.3f new ecalls/query, ring: %llu switchless / "
         "%llu fallback / %llu ring-full / %llu parks / %llu wakeups\n",
-        phase, static_cast<unsigned long long>(queries), transitions_per_query,
+        mode, static_cast<unsigned long long>(tally.completed),
+        transitions_per_query,
         static_cast<unsigned long long>(ring.jobs_switchless),
         static_cast<unsigned long long>(ring.fallback_ecalls),
         static_cast<unsigned long long>(ring.ring_full_rejects),
         static_cast<unsigned long long>(ring.worker_parks),
         static_cast<unsigned long long>(ring.worker_wakeups));
-    g_rows.push_back({"xsearch-switchless", 0.0, rps, 0.0, 0.0, 0.0, 0,
-                      kSessions, 0, 0, phase, ""});
+    g_rows.push_back({.system = "xsearch-switchless", .achieved_rps = tally.qps(),
+                      .sessions = kSessions, .mode = mode});
   }
   std::printf(
       "# *closed-loop: last column is real enclave transitions per query\n");
@@ -348,89 +456,44 @@ void run_switchless_sweep(const api::ClientConfig& config) {
 /// worker scaling reads as "does not collapse"; the batch column shows the
 /// real amortization either way (aead_per_query = 2/batch).
 void run_fleet_sweep(const api::ClientConfig& config) {
-  xsearch::sgx::AttestationAuthority authority(
-      xsearch::to_bytes("fig5-fleet-root"));
+  sgx::AttestationAuthority authority(to_bytes("fig5-fleet-root"));
   constexpr std::size_t kClientSessions = 4;
-  constexpr auto kDuration = std::chrono::milliseconds(300);
 
   for (const std::size_t workers : {1u, 2u, 4u}) {
-    net::ProxyFleet::Options fleet_options =
-        api::fleet_options(config, {.workers = workers, .virtual_nodes = 64});
-    fleet_options.proxy.contact_engine = false;  // saturation mode
-    auto fleet = net::ProxyFleet::create(nullptr, authority, fleet_options);
-    if (!fleet.is_ok()) {
-      std::fprintf(stderr, "xsearch-fleet: %s\n",
-                   fleet.status().to_string().c_str());
-      return;
-    }
-    auto server = net::ProxyServer::start(*fleet.value());
-    if (!server.is_ok()) {
-      std::fprintf(stderr, "xsearch-fleet server: %s\n",
-                   server.status().to_string().c_str());
-      return;
-    }
+    const auto served = serve(
+        "xsearch-fleet",
+        net::ProxyFleet::create(nullptr, authority,
+                                api::fleet_options(config, {.workers = workers,
+                                                            .virtual_nodes = 64})));
+    if (served.server == nullptr) return;
 
     for (const std::size_t batch : {1u, 4u, 16u}) {
-      std::atomic<bool> go{false};
-      std::atomic<bool> stop{false};
-      std::atomic<std::size_t> ready{0};
-      std::atomic<std::uint64_t> completed{0};
-      std::vector<std::thread> threads;
-      threads.reserve(kClientSessions);
-      for (std::size_t s = 0; s < kClientSessions; ++s) {
-        threads.emplace_back([&, s] {
-          net::RemoteBroker broker("127.0.0.1", server.value()->port(),
-                                   authority, fleet.value()->measurement(),
-                                   7000 + 13 * s + batch);
-          const bool connected = broker.connect().is_ok();
-          ready.fetch_add(1, std::memory_order_release);
-          if (!connected) return;
-          std::vector<std::string> queries(batch, "fleet scaling probe");
-          while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-          std::uint64_t done = 0;
-          while (!stop.load(std::memory_order_relaxed)) {
-            if (batch == 1) {
-              if (broker.search(queries[0]).is_ok()) ++done;
-            } else {
-              auto outcomes = broker.search_batch(queries);
-              if (outcomes.is_ok()) done += outcomes.value().size();
-            }
-          }
-          completed.fetch_add(done, std::memory_order_relaxed);
-        });
-      }
-      while (ready.load(std::memory_order_acquire) < kClientSessions)
-        std::this_thread::yield();
-      const auto t0 = std::chrono::steady_clock::now();
-      go.store(true, std::memory_order_release);
-      std::this_thread::sleep_for(kDuration);
-      stop.store(true, std::memory_order_relaxed);
-      for (auto& t : threads) t.join();
-      const double secs =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      const double qps = static_cast<double>(completed.load()) / secs;
-      const double mean_ms =
-          completed.load() == 0
-              ? 0.0
-              : 1e3 * secs * kClientSessions / static_cast<double>(completed.load());
+      const PhaseTally tally = run_closed_loop(
+          {.sessions = kClientSessions, .window = 300ms}, [&](std::size_t s) {
+            return search_call(std::make_shared<net::RemoteBroker>(
+                                   "127.0.0.1", served.server->port(), authority,
+                                   served.handler->measurement(), 7000 + 13 * s + batch),
+                               "fleet scaling probe", batch);
+          })[0];
+      const double mean_ms =  // per query, per session
+          tally.qps() == 0 ? 0.0 : 1e3 * kClientSessions / tally.qps();
       std::printf("%-16s %4zuw %4zub %12.1f %10.3f %10s %10s %8s\n",
-                  "xsearch-fleet", workers, batch, qps, mean_ms, "-", "-", "-");
-      g_rows.push_back({"xsearch-fleet", 0.0, qps, mean_ms, 0.0, 0.0, 0, 0,
-                        workers, batch});
+                  "xsearch-fleet", workers, batch, tally.qps(), mean_ms, "-",
+                  "-", "-");
+      g_rows.push_back({.system = "xsearch-fleet", .achieved_rps = tally.qps(),
+                        .mean_ms = mean_ms, .workers = workers, .batch = batch});
     }
 
     std::uint64_t routed_total = 0;
     std::size_t workers_hit = 0;
-    for (std::size_t w = 0; w < fleet.value()->worker_count(); ++w) {
-      const auto stats = fleet.value()->worker_stats(w);
+    for (std::size_t w = 0; w < served.handler->worker_count(); ++w) {
+      const auto stats = served.handler->worker_stats(w);
       routed_total += stats.routed;
       workers_hit += stats.sessions.created > 0 ? 1 : 0;
     }
     std::printf("# xsearch-fleet workers=%zu: routed=%llu workers_with_sessions=%zu\n",
                 workers, static_cast<unsigned long long>(routed_total),
                 workers_hit);
-    server.value()->stop();
   }
   std::printf("# *closed-loop: columns are workers/batch; mean_ms is per query\n");
 }
@@ -444,138 +507,86 @@ void run_fleet_sweep(const api::ClientConfig& config) {
 /// restarts. Run twice, warm then cold.
 void run_recovery_sweep(const api::ClientConfig& base_config) {
   constexpr std::size_t kClientSessions = 2;
-  constexpr auto kPhaseWindow = std::chrono::milliseconds(300);
   constexpr const char* kPhaseNames[] = {"pre-kill", "recovery", "post-recovery"};
 
   for (const bool warm : {true, false}) {
+    const std::filesystem::path checkpoint_dir =
+        std::filesystem::temp_directory_path() / "fig5_recovery_ckpt";
+    std::filesystem::remove_all(checkpoint_dir);
     api::ClientConfig config = base_config;
-    std::filesystem::path checkpoint_dir;
-    if (warm) {
-      checkpoint_dir =
-          std::filesystem::temp_directory_path() / "fig5_recovery_ckpt";
-      std::filesystem::remove_all(checkpoint_dir);
-      config.recovery.checkpoint_dir = checkpoint_dir.string();
-      // Closed-loop in-process rates reach tens of kqps: a tighter interval
-      // would turn the row into a checkpoint-write bench instead of a
-      // recovery one (each seal snapshots the whole history).
-      config.recovery.checkpoint_interval_queries = 512;
-    } else {
-      config.recovery.checkpoint_dir.clear();
-    }
+    config.recovery.checkpoint_dir = warm ? checkpoint_dir.string() : "";
+    // Closed-loop in-process rates reach tens of kqps: a tighter interval
+    // would turn the row into a checkpoint-write bench instead of a
+    // recovery one (each seal snapshots the whole history).
+    config.recovery.checkpoint_interval_queries = 512;
     config.recovery.probe_interval = 5 * kMilli;
     config.recovery.failure_threshold = 2;
 
-    xsearch::sgx::AttestationAuthority authority(
-        xsearch::to_bytes("fig5-recovery-root"));
-    net::ProxyFleet::Options fleet_options =
-        api::fleet_options(config, {.workers = 2, .virtual_nodes = 64});
-    fleet_options.proxy.contact_engine = false;  // saturation mode
-    auto fleet = net::ProxyFleet::create(nullptr, authority, fleet_options);
-    if (!fleet.is_ok()) {
-      std::fprintf(stderr, "xsearch-recovery: %s\n",
-                   fleet.status().to_string().c_str());
-      return;
-    }
-    auto server = net::ProxyServer::start(*fleet.value());
-    if (!server.is_ok()) {
-      std::fprintf(stderr, "xsearch-recovery server: %s\n",
-                   server.status().to_string().c_str());
-      return;
-    }
-    net::FleetSupervisor supervisor(*fleet.value(),
-                                    api::supervisor_options(config));
+    sgx::AttestationAuthority authority(to_bytes("fig5-recovery-root"));
+    const auto served = serve(
+        "xsearch-recovery",
+        net::ProxyFleet::create(
+            nullptr, authority,
+            api::fleet_options(config, {.workers = 2, .virtual_nodes = 64})));
+    if (served.server == nullptr) return;
+    net::ProxyFleet& fleet = *served.handler;
+    const auto supervisor =
+        net::FleetSupervisor::create(fleet, api::supervisor_options(config));
+    if (!ok("xsearch-recovery supervisor", supervisor)) return;
 
-    std::atomic<int> phase{0};
-    std::atomic<bool> go{false};
-    std::atomic<bool> stop{false};
-    std::atomic<std::size_t> ready{0};
-    std::array<std::atomic<std::uint64_t>, 3> completed{};
-    std::array<std::atomic<std::uint64_t>, 3> failed{};
     std::vector<std::uint64_t> session_ids(kClientSessions, 0);
-    std::vector<std::thread> threads;
-    threads.reserve(kClientSessions);
-    for (std::size_t s = 0; s < kClientSessions; ++s) {
-      threads.emplace_back([&, s] {
-        net::RemoteBroker broker("127.0.0.1", server.value()->port(), authority,
-                                 fleet.value()->measurement(), 4200 + 17 * s);
-        const bool connected = broker.connect().is_ok();
-        if (connected) session_ids[s] = broker.session_id();
-        ready.fetch_add(1, std::memory_order_release);
-        if (!connected) return;
-        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-        while (!stop.load(std::memory_order_relaxed)) {
-          const int p = phase.load(std::memory_order_relaxed);
-          if (broker.search("recovery probe").is_ok()) {
-            completed[static_cast<std::size_t>(p)].fetch_add(
-                1, std::memory_order_relaxed);
-          } else {
-            failed[static_cast<std::size_t>(p)].fetch_add(
-                1, std::memory_order_relaxed);
-          }
-        }
-      });
-    }
-    while (ready.load(std::memory_order_acquire) < kClientSessions)
-      std::this_thread::yield();
-    // Kill the worker that owns session 0 so the dip is visible from a
-    // client actually parked on the dead arc.
-    const std::size_t victim = fleet.value()->owner_of(session_ids[0]);
-
-    std::array<double, 3> phase_secs{};
-    const auto run_phase = [&](int index, auto&& mid) {
-      const auto t0 = std::chrono::steady_clock::now();
-      phase.store(index, std::memory_order_relaxed);
-      mid();
-      std::this_thread::sleep_for(kPhaseWindow);
-      phase_secs[static_cast<std::size_t>(index)] =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
+    std::size_t victim = 0;
+    std::size_t depth_before_kill = 0;
+    std::size_t depth_after_respawn = 0;
+    const auto on_phase = [&](std::size_t p) {
+      if (p == 0) {
+        // Kill the worker that owns session 0 so the dip is visible from a
+        // client actually parked on the dead arc.
+        victim = fleet.owner_of(session_ids[0]);
+      } else if (p == 1) {
+        depth_before_kill = fleet.worker_history_depth(victim);
+        (void)fleet.kill_worker(victim);
+      } else {
+        // The decoy table the respawned worker STARTED from (warm = last
+        // checkpoint, cold = 0). checkpoint.restored_entries is immutable
+        // for the revived proxy — the live history_depth would already
+        // include post-respawn traffic that re-hashed onto the arc, which
+        // in cold mode can erase the warm/cold gap this sweep exists to
+        // show.
+        depth_after_respawn = fleet.worker_stats(victim).checkpoint.restored_entries;
+      }
     };
-
-    go.store(true, std::memory_order_release);
-    run_phase(0, [] {});
-    const std::size_t depth_before_kill =
-        fleet.value()->worker_history_depth(victim);
-    run_phase(1, [&] { (void)fleet.value()->kill_worker(victim); });
-    // The decoy table the respawned worker STARTED from (warm = last
-    // checkpoint, cold = 0). checkpoint.restored_entries is immutable for
-    // the revived proxy — the live history_depth would already include
-    // post-respawn traffic that re-hashed onto the arc, which in cold mode
-    // can erase the warm/cold gap this sweep exists to show.
-    const std::size_t depth_after_respawn =
-        fleet.value()->worker_stats(victim).checkpoint.restored_entries;
-    run_phase(2, [] {});
-    stop.store(true, std::memory_order_relaxed);
-    for (auto& t : threads) t.join();
+    const auto phases = run_closed_loop(
+        {.sessions = kClientSessions, .window = 300ms, .phases = 3,
+         .on_phase = on_phase},
+        [&](std::size_t s) {
+          auto broker = std::make_shared<net::RemoteBroker>(
+              "127.0.0.1", served.server->port(), authority,
+              fleet.measurement(), 4200 + 17 * s);
+          SessionCall call = search_call(broker, "recovery probe");
+          if (call) session_ids[s] = broker->session_id();
+          return call;
+        });
 
     const char* mode = warm ? "warm" : "cold";
-    const auto stats = fleet.value()->fleet_stats();
-    for (int p = 0; p < 3; ++p) {
-      const auto idx = static_cast<std::size_t>(p);
-      const double qps =
-          static_cast<double>(completed[idx].load()) / phase_secs[idx];
+    for (std::size_t p = 0; p < 3; ++p) {
       const std::size_t depth = p == 0 ? depth_before_kill : depth_after_respawn;
       std::printf("%-16s %5s %13s %12.1f %10s %10s %10s %8llu depth=%zu\n",
-                  "xsearch-recovery", mode, kPhaseNames[idx], qps, "-", "-", "-",
-                  static_cast<unsigned long long>(failed[idx].load()), depth);
-      JsonRow row;
-      row.system = "xsearch-recovery";
-      row.achieved_rps = qps;
-      row.dropped = failed[idx].load();
-      row.workers = 2;
-      row.mode = mode;
-      row.phase = kPhaseNames[idx];
-      row.history_depth = depth;
-      g_rows.push_back(row);
+                  "xsearch-recovery", mode, kPhaseNames[p], phases[p].qps(),
+                  "-", "-", "-",
+                  static_cast<unsigned long long>(phases[p].failed), depth);
+      g_rows.push_back({.system = "xsearch-recovery", .achieved_rps = phases[p].qps(),
+                        .dropped = phases[p].failed, .workers = 2, .mode = mode,
+                        .phase = kPhaseNames[p], .history_depth = depth});
     }
+    const auto stats = fleet.fleet_stats();
     std::printf("# xsearch-recovery %s: auto_respawns=%llu restore_hits=%llu "
                 "restore_misses=%llu warm_start_ratio=%.2f\n",
                 mode, static_cast<unsigned long long>(stats.auto_respawns),
                 static_cast<unsigned long long>(stats.restore_hits),
                 static_cast<unsigned long long>(stats.restore_misses),
                 stats.warm_start_ratio);
-    server.value()->stop();
-    if (warm) std::filesystem::remove_all(checkpoint_dir);
+    std::filesystem::remove_all(checkpoint_dir);
   }
   std::printf("# *kill-and-recover: dropped column is failed searches in the "
               "phase; depth is the victim's pre-kill history, then its "
@@ -593,7 +604,6 @@ void run_recovery_sweep(const api::ClientConfig& base_config) {
 void run_degraded_sweep(const api::ClientConfig& base_config,
                         const engine::SearchEngine& engine) {
   constexpr std::size_t kClientSessions = 2;
-  constexpr auto kPhaseWindow = std::chrono::milliseconds(300);
   constexpr const char* kPhaseNames[] = {"healthy", "degraded", "recovered"};
 
   api::ClientConfig config = base_config;
@@ -612,11 +622,9 @@ void run_degraded_sweep(const api::ClientConfig& base_config,
   auto plan = std::make_shared<net::FaultPlan>(plan_options);
   auto degraded = std::make_shared<std::atomic<bool>>(false);
 
-  xsearch::sgx::AttestationAuthority authority(
-      xsearch::to_bytes("fig5-degraded-root"));
+  sgx::AttestationAuthority authority(to_bytes("fig5-degraded-root"));
   net::ProxyFleet::Options fleet_options =
       api::fleet_options(config, {.workers = 2, .virtual_nodes = 64});
-  fleet_options.proxy.contact_engine = true;
   fleet_options.proxy.engine_fault_hook = [plan, degraded]() -> Status {
     if (!degraded->load(std::memory_order_relaxed)) return {};
     return plan->engine_call();
@@ -627,109 +635,43 @@ void run_degraded_sweep(const api::ClientConfig& base_config,
   fleet_options.proxy.engine_breaker.failure_ratio = 0.5;
   fleet_options.proxy.engine_breaker.open_cooldown = 50 * kMilli;
   fleet_options.proxy.engine_breaker.half_open_probes = 2;
-  auto fleet = net::ProxyFleet::create(&engine, authority, fleet_options);
-  if (!fleet.is_ok()) {
-    std::fprintf(stderr, "xsearch-degraded: %s\n",
-                 fleet.status().to_string().c_str());
-    return;
-  }
-  auto server = net::ProxyServer::start(*fleet.value());
-  if (!server.is_ok()) {
-    std::fprintf(stderr, "xsearch-degraded server: %s\n",
-                 server.status().to_string().c_str());
-    return;
-  }
+  const auto served = serve(
+      "xsearch-degraded", net::ProxyFleet::create(&engine, authority, fleet_options));
+  if (served.server == nullptr) return;
 
-  std::atomic<int> phase{0};
-  std::atomic<bool> go{false};
-  std::atomic<bool> stop{false};
-  std::atomic<std::size_t> ready{0};
-  std::array<std::atomic<std::uint64_t>, 3> completed{};
-  std::array<std::atomic<std::uint64_t>, 3> failed{};
-  // Client-observed per-phase latencies, one slab per session (merged after
-  // the join, so the measuring threads never share a vector).
-  std::vector<std::array<std::vector<double>, 3>> latencies(kClientSessions);
-  std::vector<std::thread> threads;
-  threads.reserve(kClientSessions);
-  for (std::size_t s = 0; s < kClientSessions; ++s) {
-    threads.emplace_back([&, s] {
-      net::RemoteBroker::Options broker_options;
-      broker_options.request_budget = 500 * kMilli;
-      broker_options.connect_budget = kSecond;
-      broker_options.retry.max_attempts = 2;
-      broker_options.retry.initial_backoff = kMilli;
-      broker_options.retry.max_backoff = 10 * kMilli;
-      net::RemoteBroker broker("127.0.0.1", server.value()->port(), authority,
-                               fleet.value()->measurement(), 6100 + 19 * s,
-                               broker_options);
-      const bool connected = broker.connect().is_ok();
-      ready.fetch_add(1, std::memory_order_release);
-      if (!connected) return;
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      while (!stop.load(std::memory_order_relaxed)) {
-        const int p = phase.load(std::memory_order_relaxed);
-        const auto idx = static_cast<std::size_t>(p);
-        const auto t0 = std::chrono::steady_clock::now();
-        const bool ok = broker.search("brownout probe").is_ok();
-        const double ms =
-            1e3 *
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                .count();
-        latencies[s][idx].push_back(ms);
-        (ok ? completed : failed)[idx].fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  while (ready.load(std::memory_order_acquire) < kClientSessions)
-    std::this_thread::yield();
+  const net::RemoteBroker::Options broker_options{
+      .request_budget = 500 * kMilli, .connect_budget = kSecond,
+      .retry = {.max_attempts = 2, .initial_backoff = kMilli, .max_backoff = 10 * kMilli}};
+  auto phases = run_closed_loop(
+      {.sessions = kClientSessions,
+       .window = 300ms,
+       .phases = 3,
+       .on_phase =
+           [&](std::size_t p) {
+             if (p > 0) degraded->store(p == 1, std::memory_order_relaxed);
+           },
+       .timed = true},
+      [&](std::size_t s) {
+        return search_call(
+            std::make_shared<net::RemoteBroker>(
+                "127.0.0.1", served.server->port(), authority,
+                served.handler->measurement(), 6100 + 19 * s, broker_options),
+            "brownout probe");
+      });
 
-  std::array<double, 3> phase_secs{};
-  const auto run_phase = [&](int index, auto&& mid) {
-    const auto t0 = std::chrono::steady_clock::now();
-    phase.store(index, std::memory_order_relaxed);
-    mid();
-    std::this_thread::sleep_for(kPhaseWindow);
-    phase_secs[static_cast<std::size_t>(index)] =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-  };
-
-  go.store(true, std::memory_order_release);
-  run_phase(0, [] {});
-  run_phase(1, [&] { degraded->store(true, std::memory_order_relaxed); });
-  run_phase(2, [&] { degraded->store(false, std::memory_order_relaxed); });
-  stop.store(true, std::memory_order_relaxed);
-  for (auto& t : threads) t.join();
-
-  for (int p = 0; p < 3; ++p) {
-    const auto idx = static_cast<std::size_t>(p);
-    std::vector<double> merged;
-    for (std::size_t s = 0; s < kClientSessions; ++s) {
-      merged.insert(merged.end(), latencies[s][idx].begin(),
-                    latencies[s][idx].end());
-    }
-    std::sort(merged.begin(), merged.end());
-    const double p99 =
-        merged.empty() ? 0.0 : merged[merged.size() * 99 / 100];
-    const double goodput =
-        static_cast<double>(completed[idx].load()) / phase_secs[idx];
+  for (std::size_t p = 0; p < 3; ++p) {
+    const double p99 = percentile(phases[p].latency_ms, 99);
     std::printf("%-16s %13s %12.1f %10s %10s %10.3f %8llu\n",
-                "xsearch-degraded", kPhaseNames[idx], goodput, "-", "-", p99,
-                static_cast<unsigned long long>(failed[idx].load()));
-    JsonRow row;
-    row.system = "xsearch-degraded";
-    row.achieved_rps = goodput;
-    row.p99_ms = p99;
-    row.dropped = failed[idx].load();
-    row.workers = 2;
-    row.mode = "engine-chaos";
-    row.phase = kPhaseNames[idx];
-    g_rows.push_back(row);
+                "xsearch-degraded", kPhaseNames[p], phases[p].qps(), "-", "-",
+                p99, static_cast<unsigned long long>(phases[p].failed));
+    g_rows.push_back({.system = "xsearch-degraded", .achieved_rps = phases[p].qps(),
+                      .p99_ms = p99, .dropped = phases[p].failed, .workers = 2,
+                      .mode = "engine-chaos", .phase = kPhaseNames[p]});
   }
   std::uint64_t trips = 0;
   std::uint64_t rejected = 0;
-  for (std::size_t w = 0; w < fleet.value()->worker_count(); ++w) {
-    const auto proxy = fleet.value()->worker_proxy(w);
+  for (std::size_t w = 0; w < served.handler->worker_count(); ++w) {
+    const auto proxy = served.handler->worker_proxy(w);
     if (proxy == nullptr) continue;
     const auto stats = proxy->engine_breaker_stats();
     trips += stats.trips;
@@ -740,7 +682,6 @@ void run_degraded_sweep(const api::ClientConfig& base_config,
               static_cast<unsigned long long>(plan->faults_injected()),
               static_cast<unsigned long long>(trips),
               static_cast<unsigned long long>(rejected));
-  server.value()->stop();
   std::printf("# *brownout: dropped column is failed searches in the phase; "
               "p99 is client-observed\n");
 }
@@ -749,15 +690,8 @@ void run_degraded_sweep(const api::ClientConfig& base_config,
 
 /// Current VmRSS in kB from /proc/self/status (0 if unreadable).
 std::size_t vm_rss_kb() {
-  std::FILE* f = std::fopen("/proc/self/status", "r");
-  if (f == nullptr) return 0;
-  char line[256];
-  std::size_t kb = 0;
-  while (std::fgets(line, sizeof line, f) != nullptr) {
-    if (std::sscanf(line, "VmRSS: %zu", &kb) == 1) break;
-  }
-  std::fclose(f);
-  return kb;
+  return std::strtoull(proc_field("/proc/self/status", "VmRSS").c_str(),
+                       nullptr, 10);
 }
 
 /// Minimal thread-per-connection frame server over the same ProxyHandler —
@@ -767,10 +701,10 @@ std::size_t vm_rss_kb() {
 /// kernel task) instead of the reactor's buffer-and-table-entry.
 class ThreadPerConnectionServer {
  public:
-  static std::unique_ptr<ThreadPerConnectionServer> start(
+  static Result<std::unique_ptr<ThreadPerConnectionServer>> start(
       core::ProxyHandler& proxy) {
     auto listener = net::TcpListener::bind(0);
-    if (!listener) return nullptr;
+    if (!listener) return listener.status();
     return std::unique_ptr<ThreadPerConnectionServer>(
         new ThreadPerConnectionServer(proxy, std::move(listener).value()));
   }
@@ -786,17 +720,10 @@ class ThreadPerConnectionServer {
     if (stopping_.exchange(true)) return;
     listener_.close();
     if (accept_thread_.joinable()) accept_thread_.join();
-    std::vector<std::shared_ptr<net::TcpStream>> live;
-    std::vector<std::thread> threads;
-    {
-      MutexLock lock(mutex_);
-      live.swap(live_);
-      threads.swap(threads_);
-    }
-    for (const auto& stream : live) stream->shutdown_both();
-    for (auto& t : threads) {
-      if (t.joinable()) t.join();
-    }
+    // The accept thread, the only other user of mutex_, has exited.
+    MutexLock lock(mutex_);
+    for (const auto& stream : live_) stream->shutdown_both();
+    for (auto& t : threads_) t.join();
     listener_.release();
   }
 
@@ -831,70 +758,61 @@ class ThreadPerConnectionServer {
   }
 
   void serve(net::TcpStream& stream) {
-    const auto send_error = [&](const Status& status) {
-      return net::write_frame(stream, net::FrameType::kErrorStatus,
-                              net::encode_error_status(status));
-    };
     while (!stopping_.load(std::memory_order_relaxed)) {
       auto frame = net::read_frame(stream);
       if (!frame) return;  // clean close or broken peer
-      switch (frame.value().type) {
-        case net::FrameType::kHello: {
-          if (frame.value().payload.size() != crypto::kX25519KeySize) {
-            (void)send_error(invalid_argument("bad hello"));
-            return;
-          }
-          crypto::X25519Key client_pub;
-          std::memcpy(client_pub.data(), frame.value().payload.data(),
-                      client_pub.size());
-          auto response = proxy_->handshake(client_pub);
-          if (!response) {
-            (void)send_error(response.status());
-            return;
-          }
-          Bytes payload;
-          core::wire::put_u64(payload, response.value().session_id);
-          const Bytes quote = response.value().quote.serialize();
-          core::wire::put_u32(payload,
-                              static_cast<std::uint32_t>(quote.size()));
-          append(payload, quote);
-          append(payload, response.value().server_ephemeral_pub);
-          if (!net::write_frame(stream, net::FrameType::kHelloReply, payload)
-                   .is_ok()) {
-            return;
-          }
-          break;
-        }
-        case net::FrameType::kQuery:
-        case net::FrameType::kBatchQuery: {
-          const net::FrameType reply_type =
-              frame.value().type == net::FrameType::kQuery
-                  ? net::FrameType::kQueryReply
-                  : net::FrameType::kBatchReply;
-          std::size_t offset = 0;
-          const auto session =
-              core::wire::get_u64(frame.value().payload, offset);
-          if (!session) {
-            (void)send_error(invalid_argument("bad query frame"));
-            return;
-          }
-          auto response = proxy_->handle_query_record(
-              session.value(),
-              ByteSpan(frame.value().payload).subspan(offset));
-          if (!response) {
-            if (!send_error(response.status()).is_ok()) return;
-            break;
-          }
-          if (!net::write_frame(stream, reply_type, response.value())
-                   .is_ok()) {
-            return;
-          }
-          break;
-        }
-        default:
-          (void)send_error(invalid_argument("unexpected frame"));
-          return;
+      const Reply reply = answer(frame.value());
+      if (!net::write_frame(stream, reply.type, reply.payload).is_ok() ||
+          reply.close) {
+        return;
       }
+    }
+  }
+
+  /// The reply to one frame; `close` ends the connection after sending it.
+  struct Reply {
+    net::FrameType type;
+    Bytes payload;
+    bool close = false;
+  };
+
+  Reply answer(const net::Frame& frame) {
+    const auto error = [](const Status& status, bool close) {
+      return Reply{net::FrameType::kErrorStatus,
+                   net::encode_error_status(status), close};
+    };
+    switch (frame.type) {
+      case net::FrameType::kHello: {
+        if (frame.payload.size() != crypto::kX25519KeySize) {
+          return error(invalid_argument("bad hello"), true);
+        }
+        crypto::X25519Key client_pub;
+        std::memcpy(client_pub.data(), frame.payload.data(), client_pub.size());
+        auto response = proxy_->handshake(client_pub);
+        if (!response) return error(response.status(), true);
+        Reply reply{net::FrameType::kHelloReply, {}};
+        core::wire::put_u64(reply.payload, response.value().session_id);
+        const Bytes quote = response.value().quote.serialize();
+        core::wire::put_u32(reply.payload,
+                            static_cast<std::uint32_t>(quote.size()));
+        append(reply.payload, quote);
+        append(reply.payload, response.value().server_ephemeral_pub);
+        return reply;
+      }
+      case net::FrameType::kQuery:
+      case net::FrameType::kBatchQuery: {
+        std::size_t offset = 0;
+        const auto session = core::wire::get_u64(frame.payload, offset);
+        if (!session) return error(invalid_argument("bad query frame"), true);
+        auto response = proxy_->handle_query_record(
+            session.value(), ByteSpan(frame.payload).subspan(offset));
+        if (!response) return error(response.status(), false);
+        return {frame.type == net::FrameType::kQuery ? net::FrameType::kQueryReply
+                                                     : net::FrameType::kBatchReply,
+                std::move(response).value()};
+      }
+      default:
+        return error(invalid_argument("unexpected frame"), true);
     }
   }
 
@@ -912,7 +830,7 @@ class ThreadPerConnectionServer {
 /// against `port`, then measure RSS growth per session and wakeup-to-reply
 /// on a sample of the held population.
 /// Returns the leg's RSS growth per held session (kB).
-double run_idle_leg(const xsearch::sgx::AttestationAuthority& authority,
+double run_idle_leg(const sgx::AttestationAuthority& authority,
                     const sgx::Measurement& measurement, std::uint16_t port,
                     std::size_t sessions, const char* mode,
                     const std::function<bool()>& architecture_failed) {
@@ -947,24 +865,17 @@ double run_idle_leg(const xsearch::sgx::AttestationAuthority& authority,
     const std::size_t stride = held / sample;
     wake_ms.reserve(sample);
     for (std::size_t i = 0; i < sample; ++i) {
-      auto& broker = *brokers[i * stride];
-      const auto t0 = std::chrono::steady_clock::now();
-      const bool ok = broker.search("idle wakeup probe").is_ok();
-      const double ms =
-          1e3 *
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      if (ok) {
-        wake_ms.push_back(ms);
+      const Nanos t0 = wall_now();
+      if (brokers[i * stride]->search("idle wakeup probe").is_ok()) {
+        wake_ms.push_back(static_cast<double>(wall_now() - t0) /
+                          static_cast<double>(kMilli));
       } else {
         ++query_failures;
       }
     }
   }
-  std::sort(wake_ms.begin(), wake_ms.end());
-  const double p50 = wake_ms.empty() ? 0.0 : wake_ms[wake_ms.size() / 2];
-  const double p99 =
-      wake_ms.empty() ? 0.0 : wake_ms[wake_ms.size() * 99 / 100];
+  const double p50 = percentile(wake_ms, 50);
+  const double p99 = percentile(wake_ms, 99);
 
   const bool complete = held == sessions && query_failures == 0 &&
                         !architecture_failed();
@@ -973,16 +884,10 @@ double run_idle_leg(const xsearch::sgx::AttestationAuthority& authority,
               "xsearch-idle", held, sessions, mode, p50, p99,
               rss_kb_per_session, static_cast<unsigned long long>(dropped),
               complete ? "" : "  CANNOT");
-  JsonRow row;
-  row.system = "xsearch-idle";
-  row.sessions = held;
-  row.p50_ms = p50;
-  row.p99_ms = p99;
-  row.dropped = dropped;
-  row.mode = mode;
-  row.phase = complete ? "ok" : "cannot";
-  row.rss_kb = rss_kb_per_session;
-  g_rows.push_back(row);
+  g_rows.push_back({.system = "xsearch-idle", .p50_ms = p50, .p99_ms = p99,
+                    .dropped = dropped, .sessions = held, .mode = mode,
+                    .phase = complete ? "ok" : "cannot",
+                    .rss_kb = rss_kb_per_session});
   return rss_kb_per_session;
 }
 
@@ -996,11 +901,9 @@ double run_idle_leg(const xsearch::sgx::AttestationAuthority& authority,
 void run_idle_sweep(const api::ClientConfig& base_config) {
   // Lift the soft fd limit to the hard cap and size the targets to fit.
   rlimit nofile{};
-  if (::getrlimit(RLIMIT_NOFILE, &nofile) == 0 &&
-      nofile.rlim_cur < nofile.rlim_max) {
-    rlimit raised = nofile;
-    raised.rlim_cur = nofile.rlim_max;
-    (void)::setrlimit(RLIMIT_NOFILE, &raised);
+  if (::getrlimit(RLIMIT_NOFILE, &nofile) == 0) {
+    nofile.rlim_cur = nofile.rlim_max;
+    (void)::setrlimit(RLIMIT_NOFILE, &nofile);
   }
   (void)::getrlimit(RLIMIT_NOFILE, &nofile);
   const std::size_t fd_budget =
@@ -1031,40 +934,27 @@ void run_idle_sweep(const api::ClientConfig& base_config) {
     double reactor_rss = 0.0;
     double threads_rss = 0.0;
     for (const bool reactor : {true, false}) {
-      xsearch::sgx::AttestationAuthority authority(
-          xsearch::to_bytes("fig5-idle-root"));
-      core::XSearchProxy::Options options = api::xsearch_proxy_options(config);
-      options.contact_engine = false;  // saturation mode
-      auto proxy = core::XSearchProxy::create(nullptr, authority, options);
-      if (!proxy.is_ok()) {
-        std::fprintf(stderr, "xsearch-idle proxy: %s\n",
-                     proxy.status().to_string().c_str());
-        return;
-      }
+      sgx::AttestationAuthority authority(to_bytes("fig5-idle-root"));
+      const auto proxy = saturation_proxy("xsearch-idle", authority,
+                                          api::xsearch_proxy_options(config));
+      if (proxy == nullptr) return;
       if (reactor) {
         net::ProxyServer::Options server_options;
         server_options.workers = 2;  // per *request*, not per connection
-        auto server =
-            net::ProxyServer::start(*proxy.value(), 0, server_options);
-        if (!server.is_ok()) {
-          std::fprintf(stderr, "xsearch-idle server: %s\n",
-                       server.status().to_string().c_str());
-          return;
-        }
-        reactor_rss = run_idle_leg(authority, proxy.value()->measurement(),
+        auto server = net::ProxyServer::start(*proxy, 0, server_options);
+        if (!ok("xsearch-idle server", server)) return;
+        reactor_rss = run_idle_leg(authority, proxy->measurement(),
                                    server.value()->port(), sessions, "reactor",
                                    [] { return false; });
         server.value()->stop();
       } else {
-        auto server = ThreadPerConnectionServer::start(*proxy.value());
-        if (server == nullptr) {
-          std::fprintf(stderr, "xsearch-idle threaded server: bind failed\n");
-          return;
-        }
-        threads_rss = run_idle_leg(authority, proxy.value()->measurement(),
-                                   server->port(), sessions, "threads",
-                                   [&server] { return server->spawn_failed(); });
-        server->stop();
+        auto started = ThreadPerConnectionServer::start(*proxy);
+        if (!ok("xsearch-idle threaded server", started)) return;
+        auto& server = *started.value();
+        threads_rss = run_idle_leg(authority, proxy->measurement(),
+                                   server.port(), sessions, "threads",
+                                   [&server] { return server.spawn_failed(); });
+        server.stop();
       }
     }
     // Both legs pay the same client-side cost (one RemoteBroker + one
@@ -1077,13 +967,6 @@ void run_idle_sweep(const api::ClientConfig& base_config) {
   std::printf("# *idle sweep: rss/sess is RSS growth per held session "
               "(client+server in-process); CANNOT = leg could not hold or "
               "serve the population\n");
-}
-
-loadgen::LoadConfig config_for(double rps) {
-  loadgen::LoadConfig config;
-  config.target_rps = rps;
-  config.duration = 400 * kMilli;
-  return config;
 }
 
 /// Offered-rate grids bracketing each system's saturation knee.
@@ -1102,41 +985,6 @@ const std::vector<double>& rate_grid(const std::string& mechanism) {
   return it != grids.end() ? it->second : generic;
 }
 
-/// Networked X-Search deployment for "xsearch-remote": a saturation-mode
-/// proxy behind a pool-served ProxyServer on an ephemeral loopback port.
-struct RemoteDeployment {
-  RemoteDeployment() : authority(xsearch::to_bytes("fig5-remote-root")) {}
-
-  xsearch::sgx::AttestationAuthority authority;
-  std::unique_ptr<xsearch::core::XSearchProxy> proxy;
-  std::unique_ptr<xsearch::net::ProxyServer> server;
-};
-
-std::unique_ptr<RemoteDeployment> start_remote_deployment(
-    const api::ClientConfig& config) {
-  auto deployment = std::make_unique<RemoteDeployment>();
-  // Same translation as the in-process "xsearch" mechanism — the two must
-  // not drift, or remote and in-process measurements stop being comparable.
-  core::XSearchProxy::Options options = api::xsearch_proxy_options(config);
-  options.contact_engine = false;  // saturation mode, no engine deployed
-  auto proxy =
-      core::XSearchProxy::create(nullptr, deployment->authority, options);
-  if (!proxy.is_ok()) {
-    std::fprintf(stderr, "xsearch-remote proxy: %s\n",
-                 proxy.status().to_string().c_str());
-    return nullptr;
-  }
-  deployment->proxy = std::move(proxy).value();
-  auto server = net::ProxyServer::start(*deployment->proxy);
-  if (!server.is_ok()) {
-    std::fprintf(stderr, "xsearch-remote server: %s\n",
-                 server.status().to_string().c_str());
-    return nullptr;
-  }
-  deployment->server = std::move(server).value();
-  return deployment;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1148,10 +996,8 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg.rfind("--json=", 0) == 0) {
       json_path = arg.substr(7);
-    } else if (arg.rfind("--mode=", 0) == 0) {
-      mechanisms.push_back(arg.substr(7));
-    } else {
-      mechanisms.push_back(arg);
+    } else {  // --mode=NAME is NAME
+      mechanisms.push_back(arg.rfind("--mode=", 0) == 0 ? arg.substr(7) : arg);
     }
   }
   if (mechanisms.empty()) mechanisms = {"xsearch", "peas", "tor"};
@@ -1160,8 +1006,22 @@ int main(int argc, char** argv) {
       {.num_users = 100, .total_queries = 10'000, .num_documents = 100});
   const std::string sample_query = bed->split.test.records()[0].text;
 
-  std::printf("%-16s %10s %12s %10s %10s %10s %8s\n", "system", "offered",
-              "achieved", "mean_ms", "p50_ms", "p99_ms", "dropped");
+  std::printf("%-16s %10s %12s %10s %10s %10s %8s %9s %9s\n", "system",
+              "offered", "achieved", "mean_ms", "p50_ms", "p99_ms", "dropped",
+              "late_p50", "late_max");
+
+  const std::map<std::string, std::function<void(const api::ClientConfig&)>>
+      sweeps = {
+          {"xsearch-sessions", run_session_sweep},
+          {"xsearch-switchless", run_switchless_sweep},
+          {"xsearch-fleet", run_fleet_sweep},
+          {"xsearch-recovery", run_recovery_sweep},
+          {"xsearch-degraded",
+           [&](const api::ClientConfig& config) {
+             run_degraded_sweep(config, *bed->engine);
+           }},
+          {"xsearch-idle-sweep", run_idle_sweep},
+      };
 
   std::uint64_t seed = 100;
   for (const auto& name : mechanisms) {
@@ -1170,73 +1030,63 @@ int main(int argc, char** argv) {
     config.k = 3;
     config.top_k = 20;
     config.history_capacity = 100'000;
-    config.batch_workers = kWorkers;
+    config.batch_workers = 4;  // the lanes netsim::service_costs assumes
     config.seed = seed += 100;
 
-    if (name == "xsearch-sessions") {
-      run_session_sweep(config);
-      continue;
-    }
-    if (name == "xsearch-switchless") {
-      run_switchless_sweep(config);
-      continue;
-    }
-    if (name == "xsearch-fleet") {
-      run_fleet_sweep(config);
-      continue;
-    }
-    if (name == "xsearch-recovery") {
-      run_recovery_sweep(config);
-      continue;
-    }
-    if (name == "xsearch-degraded") {
-      run_degraded_sweep(config, *bed->engine);
-      continue;
-    }
-    if (name == "xsearch-idle-sweep") {
-      run_idle_sweep(config);
+    if (const auto sweep = sweeps.find(name); sweep != sweeps.end()) {
+      sweep->second(config);
       continue;
     }
 
+    // "xsearch-remote": real sockets supply the stack cost the in-process
+    // run calibrates.
     const bool remote = name == "xsearch-remote";
-    std::unique_ptr<RemoteDeployment> deployment;
+    sgx::AttestationAuthority remote_authority(to_bytes("fig5-remote-root"));
+    Served<core::XSearchProxy> served;
     api::ClientPtr client_ptr;
     if (remote) {
-      // Real sockets supply the stack cost the in-process run calibrates.
-      deployment = start_remote_deployment(config);
-      if (deployment == nullptr) continue;
+      // Same translation as the in-process "xsearch" mechanism — the two
+      // must not drift, or remote and in-process measurements stop being
+      // comparable.
+      served = serve(name, core::XSearchProxy::create(
+                               nullptr, remote_authority,
+                               api::xsearch_proxy_options(config)));
+      if (served.server == nullptr) continue;
       client_ptr = api::make_remote_client(
-          "127.0.0.1", deployment->server->port(), deployment->authority,
-          deployment->proxy->measurement(), config);
+          "127.0.0.1", served.server->port(), remote_authority,
+          served.handler->measurement(), config);
     } else {
       config.stack_cost_per_request =
           netsim::service_costs::for_mechanism(name).cost_per_request;
       api::Backend backend;  // no engine: proxies answer without retrieval
       backend.fake_source = &bed->split.train;
       auto client = api::make_client(name, backend, config);
-      if (!client.is_ok()) {
-        std::fprintf(stderr, "%s: %s\n", name.c_str(),
-                     client.status().to_string().c_str());
-        continue;
-      }
+      if (!ok(name, client)) continue;
       client_ptr = std::move(client).value();
     }
-    if (const auto status = client_ptr->connect(); !status.is_ok()) {
-      std::fprintf(stderr, "%s: %s\n", name.c_str(), status.to_string().c_str());
-      continue;
-    }
+    if (!ok(name, client_ptr->connect())) continue;
 
     for (const double rps : rate_grid(name)) {
-      const auto report = api::run_open_loop_batch(
-          *client_ptr, [&] { return sample_query; }, config_for(rps));
-      print_row(name, report);
+      const auto r = api::run_open_loop_batch(
+          *client_ptr, [&] { return sample_query; },
+          {.target_rps = rps, .duration = 400 * kMilli});
+      std::printf("%-16s %10.0f %12.1f %10.3f %10.3f %10.3f %8llu %9.1f %9.1f\n",
+                  name.c_str(), r.offered_rps, r.achieved_rps, r.mean_ms(),
+                  r.p50_ms(), r.p99_ms(), static_cast<unsigned long long>(r.dropped),
+                  r.late_us_p50(), r.late_us_max());
+      g_rows.push_back({.system = name, .offered_rps = r.offered_rps,
+                        .achieved_rps = r.achieved_rps, .mean_ms = r.mean_ms(),
+                        .p50_ms = r.p50_ms(), .p99_ms = r.p99_ms(),
+                        .dropped = r.dropped, .late_us_p50 = r.late_us_p50(),
+                        .late_us_max = r.late_us_max(),
+                        .modeled = config.stack_cost_per_request > 0});
     }
     client_ptr->close();
 
     if (remote) {
       // One attested session per batch lane, all concurrently live: the
       // multi-threaded shared-table claim of §4.1, measured.
-      const auto stats = deployment->proxy->session_stats();
+      const auto stats = served.handler->session_stats();
       std::printf("# %s sessions: peak=%zu created=%llu evicted=%llu "
                   "connections=%llu reaped=%llu\n",
                   name.c_str(), stats.peak_active,
@@ -1244,10 +1094,10 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(stats.evicted_lru +
                                                   stats.expired_ttl),
                   static_cast<unsigned long long>(
-                      deployment->server->connections_served()),
+                      served.server->connections_served()),
                   static_cast<unsigned long long>(
-                      deployment->server->connections_reaped()));
-      deployment->server->stop();
+                      served.server->connections_reaped()));
+      served.server->stop();
     }
   }
 

@@ -113,8 +113,13 @@ int main() {
                  fleet_server.status().to_string().c_str());
     return 1;
   }
-  net::FleetSupervisor supervisor(*fleet.value(),
-                                  api::supervisor_options(fleet_config));
+  auto supervisor = net::FleetSupervisor::create(
+      *fleet.value(), api::supervisor_options(fleet_config));
+  if (!supervisor.is_ok()) {
+    std::fprintf(stderr, "supervisor: %s\n",
+                 supervisor.status().to_string().c_str());
+    return 1;
+  }
 
   api::ClientConfig carol_config = fleet_config;
   carol_config.seed = 3;

@@ -1,18 +1,23 @@
 #include "net/fleet_supervisor.hpp"
 
-#include <cassert>
 #include <chrono>
 #include <utility>
 
 namespace xsearch::net {
 
+Result<std::unique_ptr<FleetSupervisor>> FleetSupervisor::create(
+    ProxyFleet& fleet, Options options) {
+  if (options.probe_budget <= 0) {
+    return invalid_argument("fleet supervisor: probe_budget must be positive");
+  }
+  return std::unique_ptr<FleetSupervisor>(new FleetSupervisor(fleet, options));
+}
+
 FleetSupervisor::FleetSupervisor(ProxyFleet& fleet, Options options)
     : fleet_(&fleet),
       options_(options),
       consecutive_failures_(fleet.worker_count(), 0),
-      probe_thread_([this] { run(); }) {
-  assert(options.probe_budget > 0);
-}
+      probe_thread_([this] { run(); }) {}
 
 FleetSupervisor::~FleetSupervisor() { stop(); }
 

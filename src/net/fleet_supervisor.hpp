@@ -35,6 +35,7 @@
 
 #include "common/clock.hpp"
 #include "common/mutex.hpp"
+#include "common/status.hpp"
 #include "net/proxy_fleet.hpp"
 
 namespace xsearch::net {
@@ -59,9 +60,12 @@ class FleetSupervisor {
     std::uint64_t auto_respawns = 0;   // workers this supervisor revived
   };
 
-  /// Starts supervising `fleet` (which must outlive this object) on a
-  /// background thread. Stops on destruction.
-  FleetSupervisor(ProxyFleet& fleet, Options options);
+  /// Starts supervising `fleet` (which must outlive the supervisor) on a
+  /// background thread; stops on destruction. INVALID_ARGUMENT when
+  /// `options.probe_budget` is not positive (healthy workers' heartbeats
+  /// would time out).
+  [[nodiscard]] static Result<std::unique_ptr<FleetSupervisor>> create(
+      ProxyFleet& fleet, Options options);
   ~FleetSupervisor();
 
   FleetSupervisor(const FleetSupervisor&) = delete;
@@ -94,6 +98,8 @@ class FleetSupervisor {
     std::size_t worker XS_GUARDED_BY(mutex) = 0;
     Status result XS_GUARDED_BY(mutex);
   };
+
+  FleetSupervisor(ProxyFleet& fleet, Options options);
 
   void run();
   /// One deadline-bounded heartbeat. Sets `timed_out` when the probe

@@ -5,7 +5,7 @@ namespace xsearch::net {
 FrameCursor::Step FrameCursor::parse(ByteSpan buffered) {
   Step step;
   if (buffered.size() < 4) {
-    step.state = State::kNeedHeader;
+    step.state = State::kNeed;
     step.need = 4;
     return step;
   }
@@ -20,8 +20,7 @@ FrameCursor::Step FrameCursor::parse(ByteSpan buffered) {
   // read, not one for the budget word and another for the body.
   const std::size_t total = kFrameHeaderBytes - 1 + length;
   if (buffered.size() < total) {
-    step.state = buffered.size() < kFrameHeaderBytes ? State::kNeedHeader
-                                                     : State::kNeedBody;
+    step.state = State::kNeed;
     step.need = total;
     return step;
   }
@@ -73,8 +72,7 @@ Result<Frame> read_frame(ByteStream& stream, const Deadline& deadline) {
                              step.frame.payload.end());
         return frame;
       }
-      case FrameCursor::State::kNeedHeader:
-      case FrameCursor::State::kNeedBody: {
+      case FrameCursor::State::kNeed: {
         auto chunk = stream.read_exact(step.need - buffer.size(), deadline);
         if (!chunk) return chunk.status();
         append(buffer, chunk.value());

@@ -69,18 +69,17 @@ class FrameCursor {
   };
 
   enum class State : std::uint8_t {
-    kNeedHeader,  // length word, budget word or type byte incomplete
-    kNeedBody,    // length known, body incomplete
-    kFrame,       // `frame` holds one complete frame
-    kError,       // malformed input; the connection is unrecoverable
+    kNeed,   // frame incomplete: buffer `need` bytes, then parse again
+    kFrame,  // `frame` holds one complete frame
+    kError,  // malformed input; the connection is unrecoverable
   };
 
   struct Step {
-    State state = State::kNeedHeader;
+    State state = State::kNeed;
     View frame;            // valid when state == kFrame
     /// Total buffered bytes required before the next parse can progress
-    /// (valid for kNeedHeader/kNeedBody; a read-size hint, not a promise
-    /// the frame completes there).
+    /// (valid for kNeed; a read-size hint, not a promise the frame
+    /// completes there).
     std::size_t need = 0;
     Status error = Status::ok();  // valid when state == kError
   };

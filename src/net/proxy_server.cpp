@@ -27,8 +27,7 @@ class FrameProtocol final : public ConnectionProtocol {
         // silent close (read_frame's DATA_LOSS never produced a reply).
         action.close = true;
         return action;
-      case FrameCursor::State::kNeedHeader:
-      case FrameCursor::State::kNeedBody:
+      case FrameCursor::State::kNeed:
         action.need = step.need;
         // Once the length word is in, the frame has started: the reactor's
         // io budget bounds finishing it (anti-slowloris, as before).

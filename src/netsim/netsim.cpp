@@ -45,9 +45,10 @@ void ServiceCostModel::charge() const { busy_wait(cost_per_request); }
 
 namespace service_costs {
 
-// Calibration (see EXPERIMENTS.md): with the 4 worker threads the Figure 5
-// bench uses, capacity = workers / service_time, landing the saturation
-// knees at the paper's ~25k (X-Search), ~1k (PEAS) and ~100 (Tor) req/s.
+// Calibration: with the 4 batch lanes the Figure 5 bench uses, capacity =
+// lanes / service_time, landing the saturation knees at the paper's ~25k
+// (X-Search), ~1k (PEAS) and ~100 (Tor) req/s — provided each lane has a
+// core of its own (ARCHITECTURE.md, "Measured vs modelled").
 ServiceCostModel xsearch_proxy() { return {.cost_per_request = 150 * kMicro}; }
 ServiceCostModel peas_chain() { return {.cost_per_request = 3'800 * kMicro}; }
 ServiceCostModel tor_circuit() { return {.cost_per_request = 38 * kMilli}; }

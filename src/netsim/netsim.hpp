@@ -6,8 +6,8 @@
 // *calibrated* stochastic models — log-normal link latencies whose medians
 // match the medians the paper reports — while all computational costs
 // (crypto, obfuscation, filtering, index lookups) are really executed by
-// the benches. EXPERIMENTS.md spells out which part of each figure is
-// model and which part is measurement.
+// the benches. ARCHITECTURE.md, "Measured vs modelled", spells out which
+// part of each figure is model and which part is measurement.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +65,8 @@ struct ServiceCostModel {
   void charge() const;
 };
 
-/// Calibrated per-request stack costs (see EXPERIMENTS.md, Figure 5).
+/// Calibrated per-request stack costs for Figure 5 (the calibration is in
+/// netsim.cpp; ARCHITECTURE.md, "Measured vs modelled").
 namespace service_costs {
 /// X-Search proxy: single enclave crossing + in-memory processing.
 [[nodiscard]] ServiceCostModel xsearch_proxy();

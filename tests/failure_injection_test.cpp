@@ -223,7 +223,9 @@ TEST(FleetFault, WorkerKilledMidSessionIsRespawnedWarm) {
   net::FleetSupervisor::Options probe;
   probe.probe_interval = 2 * kMilli;
   probe.failure_threshold = 2;
-  net::FleetSupervisor supervisor(*fleet.value(), probe);
+  auto created = net::FleetSupervisor::create(*fleet.value(), probe);
+  ASSERT_TRUE(created.is_ok()) << created.status().to_string();
+  net::FleetSupervisor& supervisor = *created.value();
 
   // Mid-session kill: the Byzantine host drops the worker's ocall sockets
   // and stops servicing its enclave; the broker still holds a live channel

@@ -63,12 +63,29 @@ class FleetSupervisorTest : public ::testing::Test {
 TEST_F(FleetSupervisorTest, HealthyFleetIsProbedNotRespawned) {
   auto fleet = ProxyFleet::create(nullptr, authority_, fleet_options(2));
   ASSERT_TRUE(fleet.is_ok());
-  FleetSupervisor supervisor(*fleet.value(), fast_probe());
+  auto created = FleetSupervisor::create(*fleet.value(), fast_probe());
+  ASSERT_TRUE(created.is_ok()) << created.status().to_string();
+  FleetSupervisor& supervisor = *created.value();
   EXPECT_TRUE(eventually([&] { return supervisor.stats().probes >= 6; }));
   supervisor.stop();
   const auto stats = supervisor.stats();
   EXPECT_EQ(stats.probe_failures, 0u);
   EXPECT_EQ(stats.auto_respawns, 0u);
+  EXPECT_EQ(fleet.value()->fleet_stats().auto_respawns, 0u);
+}
+
+TEST_F(FleetSupervisorTest, NonPositiveProbeBudgetIsRejected) {
+  // A zero budget times out heartbeats of healthy workers and churns them
+  // through drain/respawn; the guard must hold in NDEBUG builds too.
+  auto fleet = ProxyFleet::create(nullptr, authority_, fleet_options(2));
+  ASSERT_TRUE(fleet.is_ok());
+  for (const Nanos budget : {Nanos{0}, Nanos{-1}}) {
+    auto options = fast_probe();
+    options.probe_budget = budget;
+    const auto supervisor = FleetSupervisor::create(*fleet.value(), options);
+    ASSERT_FALSE(supervisor.is_ok());
+    EXPECT_EQ(supervisor.status().code(), StatusCode::kInvalidArgument);
+  }
   EXPECT_EQ(fleet.value()->fleet_stats().auto_respawns, 0u);
 }
 
@@ -88,7 +105,9 @@ TEST_F(FleetSupervisorTest, CrashedWorkerIsRespawnedWarm) {
   const std::size_t checkpointed_depth = 8;  // interval 4, 9 queries → seal at 8
   EXPECT_EQ(fleet.value()->worker_stats(victim).checkpoint.written, 2u);
 
-  FleetSupervisor supervisor(*fleet.value(), fast_probe());
+  auto created = FleetSupervisor::create(*fleet.value(), fast_probe());
+  ASSERT_TRUE(created.is_ok()) << created.status().to_string();
+  FleetSupervisor& supervisor = *created.value();
   ASSERT_TRUE(fleet.value()->kill_worker(victim).is_ok());
 
   EXPECT_TRUE(
@@ -116,7 +135,9 @@ TEST_F(FleetSupervisorTest, ColdRespawnCountsAsMiss) {
   auto fleet = ProxyFleet::create(nullptr, authority_,
                                   fleet_options(2, /*checkpointing=*/false));
   ASSERT_TRUE(fleet.is_ok());
-  FleetSupervisor supervisor(*fleet.value(), fast_probe());
+  auto created = FleetSupervisor::create(*fleet.value(), fast_probe());
+  ASSERT_TRUE(created.is_ok()) << created.status().to_string();
+  FleetSupervisor& supervisor = *created.value();
   ASSERT_TRUE(fleet.value()->kill_worker(0).is_ok());
   EXPECT_TRUE(
       eventually([&] { return fleet.value()->fleet_stats().auto_respawns >= 1; }));
@@ -179,7 +200,9 @@ TEST_F(FleetSupervisorTest, HungWorkerProbeTimesOutAndIsRespawned) {
 
   auto options = fast_probe();
   options.probe_budget = 20 * kMilli;
-  FleetSupervisor supervisor(*fleet.value(), options);
+  auto created = FleetSupervisor::create(*fleet.value(), options);
+  ASSERT_TRUE(created.is_ok()) << created.status().to_string();
+  FleetSupervisor& supervisor = *created.value();
 
   EXPECT_TRUE(
       eventually([&] { return fleet.value()->fleet_stats().auto_respawns >= 1; }));

@@ -63,8 +63,7 @@ class EchoProtocol final : public ConnectionProtocol {
       case FrameCursor::State::kError:
         action.close = true;
         return action;
-      case FrameCursor::State::kNeedHeader:
-      case FrameCursor::State::kNeedBody:
+      case FrameCursor::State::kNeed:
         action.need = step.need;
         action.mid_message = buffered.size() >= 4;
         return action;

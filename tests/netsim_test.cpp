@@ -115,5 +115,41 @@ TEST(ServiceCost, ZeroCostIsFree) {
   EXPECT_LT(wall_now() - t0, 10 * kMilli);
 }
 
+TEST(NetSim, LinkModelSamplesAroundMedian) {
+  const LinkModel link{.median_ms = 100.0, .sigma = 0.2, .min_ms = 1.0};
+  const auto samples = draw(link, 5000, 1);
+  const double median_ms =
+      static_cast<double>(samples[samples.size() / 2]) / static_cast<double>(kMilli);
+  EXPECT_NEAR(median_ms, 100.0, 5.0);
+}
+
+TEST(NetSim, LinkModelRespectsFloor) {
+  const LinkModel link{.median_ms = 1.0, .sigma = 2.0, .min_ms = 0.5};
+  Rng rng(2);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_GE(link.sample(rng), static_cast<Nanos>(0.5 * static_cast<double>(kMilli)));
+  }
+}
+
+TEST(NetSim, BusyWaitWaits) {
+  const Nanos start = wall_now();
+  busy_wait(2 * kMilli);
+  EXPECT_GE(wall_now() - start, 2 * kMilli);
+}
+
+TEST(NetSim, BusyWaitZeroReturnsImmediately) {
+  const Nanos start = wall_now();
+  busy_wait(0);
+  busy_wait(-5);
+  EXPECT_LT(wall_now() - start, 1 * kMilli);
+}
+
+TEST(NetSim, CalibratedCostsOrdered) {
+  EXPECT_LT(service_costs::xsearch_proxy().cost_per_request,
+            service_costs::peas_chain().cost_per_request);
+  EXPECT_LT(service_costs::peas_chain().cost_per_request,
+            service_costs::tor_circuit().cost_per_request);
+}
+
 }  // namespace
 }  // namespace xsearch::netsim
